@@ -10,13 +10,21 @@
 //! smoke job records to `BENCH_encode.json` for the speedup table in
 //! EXPERIMENTS.md.
 //!
+//! The receive side mirrors the encode groups: `decode_into_*` runs the span
+//! kernels into a reused buffer, `decode_scalar_*` the retained
+//! per-coordinate reference, and `reassemble_row_32k` the `RowAssembler`
+//! over one row's packets with every tenth packet trimmed to heads.
+//!
 //! [`MessageCodec`]: trimgrad::collective::chunk::MessageCodec
 //! [`WorkerPool`]: trimgrad_par::WorkerPool
 
 use std::hint::black_box;
 use trimgrad::collective::chunk::MessageCodec;
 use trimgrad::hadamard::prng::Xoshiro256StarStar;
-use trimgrad::quant::{scheme_for, SchemeId};
+use trimgrad::quant::{scheme_for, EncodedRow, PartialRow, SchemeId};
+use trimgrad::wire::packet::NetAddrs;
+use trimgrad::wire::packetize::{packetize_row, PacketizeConfig};
+use trimgrad::wire::reassemble::RowAssembler;
 use trimgrad_bench::microbench::{BenchOpts, BenchRecord, Group, Throughput};
 use trimgrad_par::WorkerPool;
 
@@ -90,6 +98,89 @@ fn bench_decode_trimmed(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
     records.extend(g.finish());
 }
 
+/// Builds the availability view a decode group times.
+type ViewFn = fn(&EncodedRow) -> PartialRow<'_>;
+
+/// The two availability shapes the decode groups time.
+const VIEWS: [(&str, ViewFn); 2] = [
+    ("full_row_32k", EncodedRow::full_view),
+    ("heads_only_row_32k", |enc| enc.trimmed_view(1)),
+];
+
+/// The span decoders (`decode_into`, into a reused buffer) next to the
+/// retained per-coordinate reference (`decode_scalar`), full and heads-only.
+fn bench_decode_paths(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
+    let n = 1 << 15;
+    let data = row(n, 2);
+    let encoded: Vec<_> = SchemeId::ALL
+        .iter()
+        .map(|&id| {
+            let scheme = scheme_for(id);
+            let enc = scheme.encode(&data, 42);
+            (scheme, enc)
+        })
+        .collect();
+    for (shape, view) in VIEWS {
+        let mut g = Group::new(&format!("decode_into_{shape}"));
+        opts.configure(&mut g);
+        g.throughput(Throughput::Elements(n as u64));
+        let mut out = vec![0.0; n];
+        for (scheme, enc) in &encoded {
+            g.bench(scheme.id().name(), || {
+                scheme
+                    .decode_into(&view(black_box(enc)), &enc.meta, 42, &mut out)
+                    .expect("valid");
+                out[0]
+            });
+        }
+        records.extend(g.finish());
+        let mut g = Group::new(&format!("decode_scalar_{shape}"));
+        opts.configure(&mut g);
+        g.throughput(Throughput::Elements(n as u64));
+        for (scheme, enc) in &encoded {
+            g.bench(scheme.id().name(), || {
+                scheme
+                    .decode_scalar(&view(black_box(enc)), &enc.meta, 42)
+                    .expect("valid")
+            });
+        }
+        records.extend(g.finish());
+    }
+}
+
+/// One row's packets through a fresh `RowAssembler`, every tenth packet
+/// trimmed to heads (the benchmark's injected trim rate).
+fn bench_reassemble(opts: &BenchOpts, records: &mut Vec<BenchRecord>) {
+    let n = 1 << 15;
+    let data = row(n, 5);
+    let mut g = Group::new("reassemble_row_32k");
+    opts.configure(&mut g);
+    g.throughput(Throughput::Elements(n as u64));
+    for id in SchemeId::ALL {
+        let enc = scheme_for(id).encode(&data, 42);
+        let cfg = PacketizeConfig {
+            mtu: 1500,
+            net: NetAddrs::between_hosts(1, 2),
+            msg_id: 0,
+            row_id: 0,
+            epoch: 0,
+        };
+        let mut pr = packetize_row(&enc, &cfg);
+        for pkt in pr.packets.iter_mut().step_by(10) {
+            pkt.trim_to_depth(1).expect("trimmable");
+        }
+        g.bench(id.name(), || {
+            let mut asm = RowAssembler::new(id, 0, 0, n);
+            asm.ingest_meta(&pr.meta).expect("meta ok");
+            for p in &pr.packets {
+                asm.ingest(black_box(p)).expect("packet ok");
+            }
+            asm.heads_complete()
+        });
+    }
+    records.extend(g.finish());
+}
+
 /// An 8-row (2¹⁸-coordinate) message through the codec's row fan-out, with
 /// explicit 1- and 4-wide pools. On a multi-core host the `threads4` label
 /// should show ≥2× the serial rate; on a single-core CI container the two
@@ -155,6 +246,24 @@ fn vectorized_over_scalar_pct(records: &[BenchRecord]) -> (f64, &'static str) {
     worst
 }
 
+/// Worst percent, over schemes and both view shapes, by which the span
+/// decoders are slower than the per-coordinate reference (negative =
+/// faster, the expected state).
+fn decode_vectorized_over_scalar_pct(records: &[BenchRecord]) -> (f64, String) {
+    let mut worst = (f64::NEG_INFINITY, String::from("none"));
+    for (shape, _) in VIEWS {
+        for id in SchemeId::ALL {
+            let into = best_ns(records, &format!("decode_into_{shape}"), id.name());
+            let scalar = best_ns(records, &format!("decode_scalar_{shape}"), id.name());
+            let pct = (into / scalar - 1.0) * 100.0;
+            if pct > worst.0 {
+                worst = (pct, format!("{} {shape}", id.name()));
+            }
+        }
+    }
+    worst
+}
+
 fn main() {
     let opts = BenchOpts::from_args();
     let mut records = Vec::new();
@@ -162,6 +271,8 @@ fn main() {
     bench_encode_scalar(&opts, &mut records);
     bench_decode_full(&opts, &mut records);
     bench_decode_trimmed(&opts, &mut records);
+    bench_decode_paths(&opts, &mut records);
+    bench_reassemble(&opts, &mut records);
     bench_row_pipeline(&opts, &mut records);
     opts.write("encode_decode", &records);
 
@@ -216,6 +327,36 @@ fn main() {
             // trimlint: allow(no-panic) -- the whole point of the flag is to fail CI
             panic!(
                 "vectorized {} encode is {:.2}% slower than the scalar baseline (limit +{limit}%)",
+                worst.1, worst.0
+            );
+        }
+    }
+
+    if let Some(limit) = assert_flag_limit("--assert-decode-vectorized-not-slower") {
+        let (mut pct, mut which) = decode_vectorized_over_scalar_pct(&records);
+        let mut worst = (f64::NEG_INFINITY, String::from("none"));
+        let mut ok = false;
+        for attempt in 1..=3 {
+            println!(
+                "span vs scalar decode ({which}), attempt {attempt}: {pct:+.2}% (limit +{limit}%)"
+            );
+            if pct <= limit {
+                ok = true;
+                break;
+            }
+            if pct > worst.0 {
+                worst = (pct, which.clone());
+            }
+            if attempt < 3 {
+                let mut scratch = Vec::new();
+                bench_decode_paths(&opts, &mut scratch);
+                (pct, which) = decode_vectorized_over_scalar_pct(&scratch);
+            }
+        }
+        if !ok {
+            // trimlint: allow(no-panic) -- the whole point of the flag is to fail CI
+            panic!(
+                "span decode ({}) is {:.2}% slower than the scalar baseline (limit +{limit}%)",
                 worst.1, worst.0
             );
         }

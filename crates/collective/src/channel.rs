@@ -153,22 +153,23 @@ impl GradChannel for TrimmingChannel {
         for (row_id, row) in data.chunks(self.codec.row_len()).enumerate() {
             let seed = self.codec.row_seed(epoch, msg_id, row_id as u32);
             let enc = self.codec.scheme().encode(row, seed);
-            let (depths, stats) = self.injector.draw_depths(&enc);
+            let (spans, stats) = self.injector.draw_depths(&enc);
             self.stats.merge(stats);
-            // Wire accounting per packet-chunk.
-            for chunk in depths.chunks(per_packet) {
-                self.bytes += self.chunk_wire_bytes(chunk.len(), chunk[0]);
+            let view = enc.view_with_spans(&spans);
+            // Wire accounting per packet-chunk, at its first coordinate's depth.
+            for start in (0..enc.n).step_by(per_packet) {
+                let coords = per_packet.min(enc.n - start);
+                self.bytes += self.chunk_wire_bytes(coords, view.avail_depth(start));
             }
             // Metadata packet (reliable).
             self.bytes += (STACK_OVERHEAD - 28 + trimgrad_wire::meta::PAYLOAD_LEN) as u64;
-            let view = enc.view_with_depths(&depths);
-            let dec = self
-                .codec
+            let at = out.len();
+            out.resize(at + row.len(), 0.0);
+            self.codec
                 .scheme()
-                .decode(&view, &enc.meta, seed)
+                .decode_into(&view, &enc.meta, seed, &mut out[at..])
                 // trimlint: allow(no-panic) -- the view was built from this encoder's own parts and depths; a decode failure is a codec geometry bug, not a runtime condition
                 .expect("injected view is structurally valid");
-            out.extend(dec);
         }
         if let Some(m) = &self.metrics {
             m.intact.add(self.stats.intact - stats_before.intact);

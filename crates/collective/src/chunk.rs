@@ -166,6 +166,44 @@ impl MessageCodec {
             .decode(row, meta, self.row_seed(epoch, msg_id, row_id))
     }
 
+    /// Decodes one row view into `out`, which holds exactly the row's
+    /// original coordinates.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`trimgrad_quant::scheme::DecodeError`].
+    pub fn decode_row_into(
+        &self,
+        row: &PartialRow<'_>,
+        meta: &RowMeta,
+        epoch: u32,
+        msg_id: u32,
+        row_id: u32,
+        out: &mut [f32],
+    ) -> Result<(), trimgrad_quant::scheme::DecodeError> {
+        self.scheme
+            .decode_into(row, meta, self.row_seed(epoch, msg_id, row_id), out)
+    }
+
+    /// Decodes one row view and adds it into `acc` (the reduce-scatter
+    /// step), without materializing the decoded row.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`trimgrad_quant::scheme::DecodeError`].
+    pub fn decode_row_accumulate(
+        &self,
+        row: &PartialRow<'_>,
+        meta: &RowMeta,
+        epoch: u32,
+        msg_id: u32,
+        row_id: u32,
+        acc: &mut [f32],
+    ) -> Result<(), trimgrad_quant::scheme::DecodeError> {
+        self.scheme
+            .decode_accumulate(row, meta, self.row_seed(epoch, msg_id, row_id), acc)
+    }
+
     /// Decodes a full (untrimmed) message: the lossless inverse of
     /// [`encode_message`](Self::encode_message).
     ///

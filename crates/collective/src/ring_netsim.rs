@@ -25,7 +25,8 @@ use trimgrad_par::WorkerPool;
 use trimgrad_quant::SchemeId;
 use trimgrad_telemetry::{Counter, Histogram, Registry};
 use trimgrad_trace::{sat32, sat64, TraceEvent};
-use trimgrad_wire::packet::NetAddrs;
+use trimgrad_wire::meta::RowMetaPacket;
+use trimgrad_wire::packet::{GradPacket, NetAddrs};
 use trimgrad_wire::packetize::{packetize_row, PacketizeConfig};
 use trimgrad_wire::reassemble::RowAssembler;
 
@@ -90,34 +91,65 @@ impl RingNetConfig {
 struct MsgAssembly {
     rows: Vec<RowAssembler>,
     meta_seen: Vec<bool>,
+    /// Rows with their metadata and every head. Both only ever arrive, so a
+    /// row becomes ready once and the message is complete when all are.
+    ready: usize,
 }
 
 impl MsgAssembly {
     fn new(cfg: &RingNetConfig, msg_id: u32, seg_len: usize) -> Self {
-        let n_rows = seg_len.div_ceil(cfg.row_len).max(usize::from(seg_len == 0));
-        let rows = (0..n_rows.max(1))
-            .take(if seg_len == 0 { 0 } else { n_rows })
+        let rows: Vec<RowAssembler> = (0..seg_len.div_ceil(cfg.row_len))
             .map(|r| {
-                let row_len = if r == n_rows - 1 && !seg_len.is_multiple_of(cfg.row_len) {
-                    seg_len % cfg.row_len
-                } else {
-                    cfg.row_len
-                };
+                let row_len = cfg.row_len.min(seg_len - r * cfg.row_len);
                 RowAssembler::new(cfg.scheme, msg_id, r as u32, row_len)
             })
-            .collect::<Vec<_>>();
+            .collect();
         let n = rows.len();
         Self {
             rows,
             meta_seen: vec![false; n],
+            ready: 0,
         }
     }
 
+    fn row_ready(&self, row: usize) -> bool {
+        self.meta_seen.get(row) == Some(&true)
+            && self.rows.get(row).is_some_and(RowAssembler::heads_complete)
+    }
+
+    /// Ingests a data frame into row `row`; `false` if the row does not
+    /// exist or the assembler refused the frame.
+    fn ingest_data(
+        &mut self,
+        row: usize,
+        frame: &GradPacket,
+        tracer: &trimgrad_trace::Tracer,
+        at: u64,
+    ) -> bool {
+        let was_ready = self.row_ready(row);
+        let Some(asm) = self.rows.get_mut(row) else {
+            return false;
+        };
+        let ok = asm.ingest_traced(frame, tracer, at).is_ok();
+        self.ready += usize::from(!was_ready && self.row_ready(row));
+        ok
+    }
+
+    /// Ingests row `row`'s metadata; `false` if the row does not exist or
+    /// the assembler refused it.
+    fn ingest_meta(&mut self, row: usize, meta: &RowMetaPacket) -> bool {
+        let was_ready = self.row_ready(row);
+        let (Some(asm), Some(seen)) = (self.rows.get_mut(row), self.meta_seen.get_mut(row)) else {
+            return false;
+        };
+        let ok = asm.ingest_meta(meta).is_ok();
+        *seen |= ok;
+        self.ready += usize::from(!was_ready && self.row_ready(row));
+        ok
+    }
+
     fn is_complete(&self) -> bool {
-        self.rows
-            .iter()
-            .zip(&self.meta_seen)
-            .all(|(r, &m)| m && r.heads_complete())
+        self.ready == self.rows.len()
     }
 }
 
@@ -172,11 +204,17 @@ pub struct RingWorkerApp {
     pub trimmed_received: u64,
     /// Total gradient packets this worker received.
     pub packets_received: u64,
-    /// Frames the receive path refused (unparseable header, unknown row,
-    /// or an ingest error such as a wrong epoch or truncated section).
+    /// Frames the receive path refused (unparseable header, unknown row or
+    /// step, or an ingest error such as a wrong epoch or truncated section).
     pub rejected_frames: u64,
+    /// Frames (data or metadata) of a step this worker already applied —
+    /// replays and late duplicates, dropped before they allocate anything.
+    pub stale_frames: u64,
     done: bool,
     metrics: Option<RankMetrics>,
+    /// `collective.rank.<r>.stale_frames`, registered on the first stale
+    /// frame so runs without any keep their telemetry snapshot unchanged.
+    stale_metric: Option<Counter>,
     /// Sim time when the current step's segment was sent; consumed by
     /// `apply_step` to record `step_time_ns`.
     step_sent_at: u64,
@@ -205,8 +243,10 @@ impl RingWorkerApp {
             trimmed_received: 0,
             packets_received: 0,
             rejected_frames: 0,
+            stale_frames: 0,
             done: false,
             metrics: None,
+            stale_metric: None,
             step_sent_at: 0,
         }
     }
@@ -225,6 +265,14 @@ impl RingWorkerApp {
     #[must_use]
     pub fn is_done(&self) -> bool {
         self.done
+    }
+
+    /// Inbound messages buffered but not yet applied. Bounded by the
+    /// protocol's step count: frames of applied or nonexistent steps never
+    /// allocate an entry.
+    #[must_use]
+    pub fn pending_messages(&self) -> usize {
+        self.inbox.len()
     }
 
     /// The (post-all-reduce) blob. Meaningful once [`is_done`](Self::is_done).
@@ -316,31 +364,36 @@ impl RingWorkerApp {
         let sender = (self.rank + self.cfg.workers() - 1) % self.cfg.workers();
         let seg = self.cfg.send_segment(sender, t);
         let range = segment_range(self.cfg.blob_len, self.cfg.workers(), seg);
-        // Decode rows in parallel; each row is a pure function of its
-        // assembled bytes and index, and concatenation in row order matches
-        // the serial loop exactly.
+        // Row `r` of the message covers chunk `r` of the segment, so each
+        // row decodes straight into its slice of the blob: added in on a
+        // reduce-scatter step, overwritten on an all-gather step. Rows are
+        // disjoint and each is a pure function of its assembled bytes, so
+        // the pool width cannot change the result.
         let codec = &self.codec;
         let epoch = self.cfg.epoch;
-        let rows_dec = WorkerPool::global().map_indexed(asm.rows.len(), |row_id| {
-            let row_asm = &asm.rows[row_id];
-            codec
-                .decode_row(
-                    &row_asm.partial_row(),
-                    // trimlint: allow(no-panic) -- is_complete() verified meta_seen for every row before the assembly left the inbox
-                    row_asm.meta().expect("meta ingested"),
-                    epoch,
-                    msg_id,
-                    row_id as u32,
-                )
+        let reduce = self.cfg.is_reduce_step(t);
+        WorkerPool::global().for_each_chunk_mut(
+            &mut self.blob[range],
+            self.cfg.row_len,
+            |row_id, out| {
+                let Some(row_asm) = asm.rows.get(row_id) else {
+                    return;
+                };
+                // trimlint: allow(no-panic) -- is_complete() verified meta_seen for every row before the assembly left the inbox
+                let meta = row_asm.meta().expect("meta ingested");
+                let view = row_asm.partial_row();
+                let row_id = row_id as u32;
+                let decoded = if reduce {
+                    codec.decode_row_accumulate(&view, meta, epoch, msg_id, row_id, out)
+                } else {
+                    codec.decode_row_into(&view, meta, epoch, msg_id, row_id, out)
+                };
                 // trimlint: allow(no-panic) -- every packet of the row passed ingest; a decode failure here is a codec geometry bug, not a runtime condition
-                .expect("assembled row is structurally valid")
-        });
-        let mut decoded = Vec::with_capacity(range.len());
-        // The extend loop is serial, so per-row decode events land in row
-        // order regardless of how the pool scheduled the decodes above.
-        for (row_id, dec) in rows_dec.into_iter().enumerate() {
+                decoded.expect("assembled row is structurally valid");
+            },
+        );
+        for (row_id, row_asm) in asm.rows.iter().enumerate() {
             api.tracer().emit(at, || {
-                let row_asm = &asm.rows[row_id];
                 let coords = row_asm.coords_received();
                 TraceEvent::RowDecoded {
                     msg: msg_id,
@@ -349,15 +402,6 @@ impl RingWorkerApp {
                     lost: sat32(row_asm.n().saturating_sub(coords)),
                 }
             });
-            decoded.extend(dec);
-        }
-        debug_assert_eq!(decoded.len(), range.len());
-        if self.cfg.is_reduce_step(t) {
-            for (acc, v) in self.blob[range].iter_mut().zip(&decoded) {
-                *acc += v;
-            }
-        } else {
-            self.blob[range].copy_from_slice(&decoded);
         }
         let m = self.metrics(api);
         m.steps_applied.inc();
@@ -384,26 +428,60 @@ impl RingWorkerApp {
     fn drain_ready(&mut self, api: &mut HostApi) {
         while !self.done {
             let t = self.step;
+            if !self
+                .inbox
+                .get(&(t as u32))
+                .is_some_and(MsgAssembly::is_complete)
+            {
+                break;
+            }
             let Some(asm) = self.inbox.remove(&(t as u32)) else {
                 break;
             };
-            if !asm.is_complete() {
-                self.inbox.insert(t as u32, asm);
-                break;
-            }
             self.apply_step(t, &asm, api);
         }
     }
 
-    fn ensure_assembly(&mut self, msg_id: u32) -> &mut MsgAssembly {
+    /// Where a frame of inbound message `msg_id` goes. Frames of a step
+    /// already applied are counted as stale; frames beyond the protocol are
+    /// the caller's to reject. Neither allocates, which bounds the inbox by
+    /// the step count.
+    fn inbound(&mut self, msg_id: u32, api: &HostApi) -> Inbound<'_> {
+        let t = msg_id as usize;
+        if t >= self.cfg.total_steps() {
+            return Inbound::Unknown;
+        }
+        if t < self.step {
+            self.stale_frames += 1;
+            let rank = self.rank;
+            self.stale_metric
+                .get_or_insert_with(|| {
+                    api.telemetry()
+                        .counter(&format!("collective.rank.{rank}.stale_frames"))
+                })
+                .inc();
+            return Inbound::Stale;
+        }
         let sender = (self.rank + self.cfg.workers() - 1) % self.cfg.workers();
-        let seg = self.cfg.send_segment(sender, msg_id as usize);
+        let seg = self.cfg.send_segment(sender, t);
         let seg_len = segment_range(self.cfg.blob_len, self.cfg.workers(), seg).len();
         let cfg = &self.cfg;
-        self.inbox
-            .entry(msg_id)
-            .or_insert_with(|| MsgAssembly::new(cfg, msg_id, seg_len))
+        Inbound::Open(
+            self.inbox
+                .entry(msg_id)
+                .or_insert_with(|| MsgAssembly::new(cfg, msg_id, seg_len)),
+        )
     }
+}
+
+/// The routing decision for one inbound frame.
+enum Inbound<'a> {
+    /// The frame's message is current or ahead: assemble it.
+    Open(&'a mut MsgAssembly),
+    /// The frame belongs to a step already applied.
+    Stale,
+    /// The frame names a step the protocol does not have.
+    Unknown,
 }
 
 impl App for RingWorkerApp {
@@ -442,40 +520,36 @@ impl App for RingWorkerApp {
                     m.parts_lost
                         .add(u64::from(fields.n_parts) - u64::from(fields.trim_depth));
                 }
-                let msg_id = fields.msg_id;
-                let row_id = fields.row_id as usize;
                 let at = api.now().as_nanos();
                 let tracer = api.tracer().clone();
-                let asm = self.ensure_assembly(msg_id);
-                let Some(row) = asm.rows.get_mut(row_id) else {
-                    self.rejected_frames += 1;
-                    m.rejected_frames.inc();
-                    return;
+                let ok = match self.inbound(fields.msg_id, api) {
+                    Inbound::Stale => return,
+                    Inbound::Unknown => false,
+                    Inbound::Open(asm) => {
+                        asm.ingest_data(fields.row_id as usize, frame, &tracer, at)
+                    }
                 };
-                if row.ingest_traced(frame, &tracer, at).is_err() {
+                if ok {
+                    self.drain_ready(api);
+                } else {
                     self.rejected_frames += 1;
                     m.rejected_frames.inc();
-                    return;
                 }
-                self.drain_ready(api);
             }
             PacketBody::GradMeta(meta) => {
                 let m = self.metrics(api);
                 m.meta_received.inc();
                 m.bytes_received.add(u64::from(pkt.size));
-                let msg_id = meta.msg_id;
-                let row_id = meta.row_id as usize;
-                let asm = self.ensure_assembly(msg_id);
-                let Some(row) = asm.rows.get_mut(row_id) else {
-                    m.rejected_meta.inc();
-                    return;
+                let ok = match self.inbound(meta.msg_id, api) {
+                    Inbound::Stale => return,
+                    Inbound::Unknown => false,
+                    Inbound::Open(asm) => asm.ingest_meta(meta.row_id as usize, meta),
                 };
-                if row.ingest_meta(meta).is_err() {
+                if ok {
+                    self.drain_ready(api);
+                } else {
                     m.rejected_meta.inc();
-                    return;
                 }
-                asm.meta_seen[row_id] = true;
-                self.drain_ready(api);
             }
             _ => {}
         }
@@ -758,19 +832,39 @@ mod tests {
                 }
                 None => run_ring_allreduce(&mut sim, &c, b.clone(), SimTime::from_secs(5)).0,
             };
-            (out, sim.telemetry_snapshot())
+            let mut stale = 0;
+            for &host in &c.hosts {
+                let app: &RingWorkerApp = sim.app_ref(host).unwrap();
+                // Replays of applied steps never allocate an inbox entry,
+                // so a finished worker holds nothing.
+                assert_eq!(app.pending_messages(), 0, "inbox leaked");
+                stale += app.stale_frames;
+            }
+            (out, sim.telemetry_snapshot(), stale)
         };
-        let (clean, _) = run(None);
+        let (clean, _, clean_stale) = run(None);
+        assert_eq!(clean_stale, 0);
         let plan = FaultPlan::new(0xFA11).with_default(
             FaultPolicy::none()
                 .with_duplicate(0.3)
                 .with_replay(0.2)
                 .with_reorder(0.5, SimTime::from_micros(30)),
         );
-        let (faulted, snap) = run(Some(plan));
+        let (faulted, snap, stale) = run(Some(plan));
         // Duplication, replay, and reordering never lose data, so the ring
         // must converge to the identical bits the clean run produced.
-        assert_eq!(clean, faulted, "non-lossy faults changed the result");
+        let bits =
+            |out: &[Vec<f32>]| -> Vec<u32> { out.iter().flatten().map(|v| v.to_bits()).collect() };
+        assert_eq!(
+            bits(&clean),
+            bits(&faulted),
+            "non-lossy faults changed the result"
+        );
+        assert!(stale > 0, "replays of applied steps must arrive as stale");
+        let stale_metric: u64 = (0..w)
+            .map(|r| snap.counter(&format!("collective.rank.{r}.stale_frames")))
+            .sum();
+        assert_eq!(stale_metric, stale);
         for worker in &faulted {
             let nmse = trimgrad_quant::error::nmse(worker, &expect);
             assert!(nmse < 1e-6, "nmse {nmse}");
@@ -821,6 +915,71 @@ mod tests {
         for worker in &out {
             for (a, e) in worker.iter().zip(&expect) {
                 assert!((a - e).abs() < 1e-4, "{a} vs {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn frames_of_unknown_steps_are_rejected_without_allocating() {
+        // Well-formed frames for a step the protocol does not have: before
+        // the inbox was bounded, each one allocated an assembly that was
+        // never drained.
+        struct ForgerApp {
+            dst: NodeId,
+        }
+        impl App for ForgerApp {
+            fn as_any(&self) -> &dyn core::any::Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
+                self
+            }
+            fn on_start(&mut self, api: &mut HostApi) {
+                let codec = MessageCodec::with_row_len(SchemeId::SignMagnitude, 42, 1024);
+                let rows = codec.encode_message(&[0.5; 50], 1, 1000);
+                let pr = packetize_row(
+                    &rows[0],
+                    &PacketizeConfig {
+                        mtu: 1500,
+                        net: NetAddrs::between_hosts(9, 0),
+                        msg_id: 1000,
+                        row_id: 0,
+                        epoch: 1,
+                    },
+                );
+                for (seq, frame) in pr.packets.into_iter().enumerate() {
+                    api.send(PacketSpec::grad_data(
+                        self.dst,
+                        FlowId(0xF0),
+                        seq as u64,
+                        frame,
+                    ));
+                }
+                api.send(PacketSpec::grad_meta(self.dst, FlowId(0xF0), 99, pr.meta));
+            }
+            fn on_packet(&mut self, _pkt: Packet, _api: &mut HostApi) {}
+        }
+
+        let w = 2;
+        let len = 100;
+        let (mut topo, hosts) = star_topology(w, QueuePolicy::trim_default(), 100.0);
+        let forger = topo.add_host();
+        topo.link(forger, NodeId(0), gbps(100.0), SimTime::from_micros(1));
+        let mut sim = Simulator::new(topo);
+        sim.install_app(forger, Box::new(ForgerApp { dst: hosts[0] }));
+        let b = blobs(w, len, 3);
+        let c = cfg(SchemeId::SignMagnitude, hosts.clone(), len);
+        let (out, _) = run_ring_allreduce(&mut sim, &c, b.clone(), SimTime::from_secs(5));
+        let snap = sim.telemetry_snapshot();
+        assert_eq!(snap.counter("collective.rank.0.rejected_frames"), 1);
+        assert_eq!(snap.counter("collective.rank.0.rejected_meta"), 1);
+        let app: &RingWorkerApp = sim.app_ref(hosts[0]).unwrap();
+        assert_eq!((app.rejected_frames, app.stale_frames), (1, 0));
+        assert_eq!(app.pending_messages(), 0);
+        let expect = expected_sum(&b);
+        for worker in &out {
+            for (a, e) in worker.iter().zip(&expect) {
+                assert_eq!(a.to_bits(), e.to_bits());
             }
         }
     }

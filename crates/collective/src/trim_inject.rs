@@ -14,7 +14,7 @@
 //! the exact chunk fates, reproducible from the seed.
 
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
-use trimgrad_quant::scheme::EncodedRow;
+use trimgrad_quant::scheme::{DepthSpan, EncodedRow};
 use trimgrad_wire::payload::max_coords_for_budget;
 
 /// Outcome counters of one injection pass.
@@ -146,16 +146,17 @@ impl TrimInjector {
         })
     }
 
-    /// Draws per-coordinate availability depths for one encoded row and
-    /// returns them with the chunk fates.
-    pub fn draw_depths(&mut self, enc: &EncodedRow) -> (Vec<usize>, InjectStats) {
+    /// Draws the availability of one encoded row: one [`DepthSpan`] per
+    /// packet-chunk, covering `[0, n)` in order (depth 0 = dropped), plus
+    /// the chunk fates.
+    pub fn draw_depths(&mut self, enc: &EncodedRow) -> (Vec<DepthSpan>, InjectStats) {
         let n_parts = enc.parts.len();
         let per_packet = self.coords_per_packet(enc);
-        let mut depths = Vec::with_capacity(enc.n);
+        let mut spans = Vec::with_capacity(enc.n.div_ceil(per_packet));
         let mut stats = InjectStats::default();
         let mut start = 0;
         while start < enc.n {
-            let count = per_packet.min(enc.n - start);
+            let len = per_packet.min(enc.n - start);
             let u = f64::from(self.rng.next_f32());
             let depth = if u < self.drop_prob {
                 stats.dropped += 1;
@@ -167,10 +168,10 @@ impl TrimInjector {
                 stats.intact += 1;
                 n_parts
             };
-            depths.extend(std::iter::repeat_n(depth, count));
-            start += count;
+            spans.push(DepthSpan { start, len, depth });
+            start += len;
         }
-        (depths, stats)
+        (spans, stats)
     }
 
     /// Encodes, injects, and decodes one row in place of a real network pass.
@@ -189,8 +190,8 @@ impl TrimInjector {
         if enc.n == 0 {
             return (Vec::new(), InjectStats::default());
         }
-        let (depths, stats) = self.draw_depths(&enc);
-        let view = enc.view_with_depths(&depths);
+        let (spans, stats) = self.draw_depths(&enc);
+        let view = enc.view_with_spans(&spans);
         let dec = scheme
             .decode(&view, &enc.meta, seed)
             // trimlint: allow(no-panic) -- documented # Panics contract: the view was built from this encoder's own parts and depths, so a decode failure is a codec geometry bug
@@ -301,9 +302,10 @@ mod tests {
         let mut inj = TrimInjector::new(0.5, 2).with_chunk_coords(8);
         let r = row(64, 9);
         let enc = SignMagnitude.encode(&r, 0);
-        let (depths, _) = inj.draw_depths(&enc);
-        for chunk in depths.chunks(8) {
-            assert!(chunk.iter().all(|&d| d == chunk[0]), "chunk fate differs");
+        let (spans, _) = inj.draw_depths(&enc);
+        assert_eq!(spans.len(), 8);
+        for (i, s) in spans.iter().enumerate() {
+            assert_eq!((s.start, s.len), (8 * i, 8), "one span per chunk");
         }
     }
 

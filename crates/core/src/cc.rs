@@ -114,7 +114,6 @@ impl AotController {
 mod tests {
     use super::*;
     use trimgrad_quant::multilevel::MultiLevelRht;
-    use trimgrad_quant::scheme::{PartView, PartialRow};
     use trimgrad_quant::TrimmableScheme;
 
     fn congested() -> RoundFeedback {
@@ -199,16 +198,8 @@ mod tests {
         }
         assert_eq!(c.send_depth(), 2);
         let sent = c.pre_truncate(enc);
-        // Build the receiver view: first two parts present, third absent.
-        let view = PartialRow {
-            n: sent.n,
-            parts: vec![
-                PartView::Full(&sent.parts[0]),
-                PartView::Full(&sent.parts[1]),
-                PartView::Absent,
-            ],
-        };
-        let dec = scheme.decode(&view, &sent.meta, 5).unwrap();
+        // The receiver view: first two parts present, third absent.
+        let dec = scheme.decode(&sent.trimmed_view(2), &sent.meta, 5).unwrap();
         let nmse = trimgrad_quant::error::nmse(&dec, &row);
         assert!(nmse > 0.0 && nmse < 0.2, "sign+exponent decode nmse {nmse}");
     }

@@ -181,14 +181,12 @@ impl RecordingInjector {
         msg_id: u32,
         row_id: u32,
     ) -> Vec<usize> {
-        let (depths, _) = self.inner.draw_depths(enc);
-        // Re-derive chunk fates from the depth vector.
-        let per_packet = self.inner.chunk_coords.unwrap_or_else(|| {
-            max_coords_for_budget(enc.scheme.part_bits(), 1500 - 20 - 8 - 28).unwrap_or(1)
-        });
+        let (spans, _) = self.inner.draw_depths(enc);
+        // The injector draws one span per packet-chunk, in chunk order.
         let n_parts = enc.parts.len();
-        for (chunk_id, chunk) in depths.chunks(per_packet).enumerate() {
-            if chunk[0] < n_parts {
+        let mut depths = Vec::with_capacity(enc.n);
+        for (chunk_id, span) in spans.iter().enumerate() {
+            if span.depth < n_parts {
                 self.transcript.record(
                     PacketKey {
                         epoch,
@@ -196,9 +194,10 @@ impl RecordingInjector {
                         row_id,
                         chunk_id: trimgrad_wire::narrow::to_u16(chunk_id, "chunk id"),
                     },
-                    trimgrad_wire::narrow::to_u8(chunk[0], "trim depth"),
+                    trimgrad_wire::narrow::to_u8(span.depth, "trim depth"),
                 );
             }
+            depths.extend(std::iter::repeat_n(span.depth, span.len));
         }
         depths
     }

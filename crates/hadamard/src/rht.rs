@@ -137,11 +137,26 @@ impl RandomizedHadamard {
             rotated.len()
         );
         let mut buf = rotated.to_vec();
-        crate::fwht::butterflies_pooled(&mut buf, &WorkerPool::global());
-        crate::fwht::scale_by_inv_sqrt_n(&mut buf);
-        RademacherDiagonal::new(self.seed).apply(&mut buf);
+        self.inverse_padded_in_place(&mut buf);
         buf.truncate(original_len);
         buf
+    }
+
+    /// [`inverse_padded`](Self::inverse_padded) without the copy and the
+    /// truncation: inverts a padded rotation in place, bit-identically.
+    /// The receive path decodes straight into its buffer and calls this.
+    ///
+    /// `rotated.len()` must be a power of two or zero; callers establish it
+    /// when they validate the row geometry, which keeps this path total.
+    pub fn inverse_padded_in_place(&self, rotated: &mut [f32]) {
+        debug_assert!(
+            rotated.is_empty() || rotated.len().is_power_of_two(),
+            "rotated length {} is not a power of two",
+            rotated.len()
+        );
+        crate::fwht::butterflies_pooled(rotated, &WorkerPool::global());
+        crate::fwht::scale_by_inv_sqrt_n(rotated);
+        RademacherDiagonal::new(self.seed).apply(rotated);
     }
 }
 

@@ -456,6 +456,81 @@ impl BitPacker {
     }
 }
 
+/// A word-at-a-time bitstream reader: the read-side twin of [`BitPacker`].
+///
+/// Yields consecutive fields of the LSB-first layout starting at any bit
+/// offset. A `u64` accumulator is refilled 32 bits at a time, so the common
+/// case is one shift and mask per field instead of
+/// [`BitBuf::get_bits`]'s asserted per-byte loop. Reads past the end of the
+/// bytes yield zero bits rather than panicking; decoders bound their reads
+/// by the validated buffer length.
+///
+/// Invariants: `fill <= 64`, and all accumulator bits at or above `fill`
+/// are zero.
+#[derive(Debug, Clone)]
+pub struct BitUnpacker<'a> {
+    bytes: &'a [u8],
+    /// Next byte to load into the accumulator.
+    next: usize,
+    acc: u64,
+    fill: u32,
+}
+
+impl<'a> BitUnpacker<'a> {
+    /// A reader positioned at bit `bit_offset` of `buf`.
+    #[must_use]
+    pub fn new(buf: &'a BitBuf, bit_offset: usize) -> Self {
+        Self::from_bytes(buf.as_bytes(), bit_offset)
+    }
+
+    /// A reader positioned at bit `bit_offset` of LSB-first packed `bytes`.
+    #[must_use]
+    pub fn from_bytes(bytes: &'a [u8], bit_offset: usize) -> Self {
+        let mut u = Self {
+            bytes,
+            next: bit_offset / 8,
+            acc: 0,
+            fill: 0,
+        };
+        let skip = (bit_offset % 8) as u32;
+        if skip > 0 {
+            u.refill();
+            u.acc >>= skip;
+            u.fill -= skip;
+        }
+        u
+    }
+
+    /// Loads the next 32 bits above the buffered ones (`fill <= 32`).
+    #[inline]
+    fn refill(&mut self) {
+        let word = if let Some(&[b0, b1, b2, b3]) = self.bytes.get(self.next..self.next + 4) {
+            u32::from_le_bytes([b0, b1, b2, b3])
+        } else {
+            let tail = self.bytes.get(self.next..).unwrap_or(&[]);
+            tail.iter()
+                .enumerate()
+                .fold(0u32, |w, (k, &b)| w | u32::from(b) << (8 * k))
+        };
+        self.acc |= u64::from(word) << self.fill;
+        self.fill += 32;
+        self.next += 4;
+    }
+
+    /// Reads the next `width`-bit field, `1 <= width <= 32`.
+    #[inline]
+    pub fn next(&mut self, width: u32) -> u64 {
+        debug_assert!((1..=32).contains(&width), "width {width} outside 1..=32");
+        if self.fill < width {
+            self.refill();
+        }
+        let v = self.acc & ((1u64 << width) - 1);
+        self.acc >>= width;
+        self.fill -= width;
+        v
+    }
+}
+
 /// Packs the sign bit of every value (1 = negative) into a 1-bit-per-entry
 /// buffer, gathering 64 signs into a `u64` word at a time via
 /// `f32::to_bits() >> 31` instead of one `push_bits` call per coordinate.
@@ -481,68 +556,6 @@ pub fn pack_signs(values: &[f32]) -> BitBuf {
         out.push(word, rem.len() as u32);
     }
     out.finish()
-}
-
-/// A fixed-size, bit-addressed presence mask (one bit per coordinate).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitMask {
-    buf: BitBuf,
-}
-
-impl BitMask {
-    /// Creates a mask of `n` entries, all absent (`false`).
-    #[must_use]
-    pub fn absent(n: usize) -> Self {
-        Self {
-            buf: BitBuf::zeroed(n),
-        }
-    }
-
-    /// Creates a mask of `n` entries, all present (`true`).
-    #[must_use]
-    pub fn present(n: usize) -> Self {
-        let mut m = Self::absent(n);
-        for i in 0..n {
-            m.set(i, true);
-        }
-        m
-    }
-
-    /// Number of entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the mask has zero entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Returns entry `i`.
-    #[must_use]
-    pub fn get(&self, i: usize) -> bool {
-        self.buf.get_bit(i)
-    }
-
-    /// Sets entry `i`.
-    pub fn set(&mut self, i: usize, present: bool) {
-        self.buf.set_bits(i, u64::from(present), 1);
-    }
-
-    /// Marks the half-open range `[start, end)` as `present`.
-    pub fn set_range(&mut self, start: usize, end: usize, present: bool) {
-        for i in start..end {
-            self.set(i, present);
-        }
-    }
-
-    /// Number of present entries.
-    #[must_use]
-    pub fn count_present(&self) -> usize {
-        (0..self.len()).filter(|&i| self.get(i)).count()
-    }
 }
 
 /// Packs one `width`-bit field per element of `values` into a fresh buffer.
@@ -901,22 +914,34 @@ mod tests {
     }
 
     #[test]
-    fn bitmask_basics() {
-        let mut m = BitMask::absent(10);
-        assert_eq!(m.len(), 10);
-        assert_eq!(m.count_present(), 0);
-        m.set(3, true);
-        m.set_range(7, 10, true);
-        assert!(m.get(3) && m.get(7) && m.get(9));
-        assert!(!m.get(0) && !m.get(6));
-        assert_eq!(m.count_present(), 4);
-        m.set(3, false);
-        assert_eq!(m.count_present(), 3);
-        assert_eq!(BitMask::present(5).count_present(), 5);
-        assert!(BitMask::absent(0).is_empty());
+    fn unpacker_reads_past_the_end_as_zero() {
+        let buf = pack_fixed(&[0b101, 0b011], 3);
+        let mut u = BitUnpacker::new(&buf, 0);
+        assert_eq!((u.next(3), u.next(3)), (0b101, 0b011));
+        assert_eq!(u.next(32), 0);
+        let mut late = BitUnpacker::new(&buf, 1000);
+        assert_eq!(late.next(31), 0);
     }
 
     proptest! {
+        #[test]
+        fn unpacker_matches_get_bits(
+            fields in proptest::collection::vec((any::<u64>(), 1u32..=32), 1..200),
+            skip in 0usize..80
+        ) {
+            let mut buf = BitBuf::new();
+            buf.push_bits(0, skip.min(64) as u32);
+            for &(v, w) in &fields {
+                buf.push_bits(v & ((1u64 << w) - 1), w);
+            }
+            let mut u = BitUnpacker::new(&buf, skip.min(64));
+            let mut pos = skip.min(64);
+            for &(_, w) in &fields {
+                prop_assert_eq!(u.next(w), buf.get_bits(pos, w));
+                pos += w as usize;
+            }
+        }
+
         #[test]
         fn roundtrip_random_fields(
             fields in proptest::collection::vec((any::<u64>(), 1u32..=64), 1..100)

@@ -25,6 +25,7 @@
 //! carries the full 32-bit float (1 bit/coordinate overhead when untrimmed).
 
 use crate::bitpack::BitBuf;
+use crate::kernels::{check_out, check_unpadded, walk_spans, with_signs, Add, Store, Write};
 use crate::scheme::{
     bits_f32, f32_bits, DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme,
 };
@@ -113,19 +114,35 @@ impl TrimmableScheme for SubtractiveDithering {
         }
     }
 
-    fn decode(
+    // trimlint: hot-path -- span decode on the receive path
+    fn decode_into(
+        &self,
+        row: &PartialRow<'_>,
+        meta: &RowMeta,
+        seed: u64,
+        out: &mut [f32],
+    ) -> Result<(), DecodeError> {
+        decode_spans::<Write>(row, meta, seed, out)
+    }
+
+    // trimlint: hot-path -- fused decode-and-reduce on the ring's receive path
+    fn decode_accumulate(
+        &self,
+        row: &PartialRow<'_>,
+        meta: &RowMeta,
+        seed: u64,
+        acc: &mut [f32],
+    ) -> Result<(), DecodeError> {
+        decode_spans::<Add>(row, meta, seed, acc)
+    }
+
+    fn decode_scalar(
         &self,
         row: &PartialRow<'_>,
         meta: &RowMeta,
         seed: u64,
     ) -> Result<Vec<f32>, DecodeError> {
-        row.validate(&PART_BITS)?;
-        if meta.original_len != row.n {
-            return Err(DecodeError::BadOriginalLen {
-                n: row.n,
-                original_len: meta.original_len,
-            });
-        }
+        check_unpadded(row, meta, &PART_BITS)?;
         let l = meta.scale;
         let mut rng = Self::dither_stream(seed);
         let mut out = Vec::with_capacity(row.n);
@@ -135,14 +152,60 @@ impl TrimmableScheme for SubtractiveDithering {
             out.push(match row.avail_depth(i) {
                 0 => 0.0,
                 1 => {
-                    let q = if row.parts[0].get(i, 1) == 1 { -l } else { l };
+                    let q = if row.parts[0].get_bits(i, 1) == 1 {
+                        -l
+                    } else {
+                        l
+                    };
                     q - eps
                 }
-                _ => bits_f32(row.parts[1].get(i, 32) as u32),
+                _ => bits_f32(row.parts[1].get_bits(i * 32, 32) as u32),
             });
         }
         Ok(out)
     }
+}
+
+/// Span decode. The dither stream is serial, so every coordinate — lost,
+/// trimmed or whole — draws its `ε` in coordinate order, exactly as the
+/// encoder did.
+fn decode_spans<S: Store>(
+    row: &PartialRow<'_>,
+    meta: &RowMeta,
+    seed: u64,
+    out: &mut [f32],
+) -> Result<(), DecodeError> {
+    check_unpadded(row, meta, &PART_BITS)?;
+    check_out(meta, out)?;
+    let (Some(heads), Some(tails)) = (row.parts.first(), row.parts.get(1)) else {
+        return Ok(());
+    };
+    let l = meta.scale;
+    let mut rng = SubtractiveDithering::dither_stream(seed);
+    walk_spans(&row.spans, out, |depth, start, run| match depth {
+        0 => {
+            for o in run {
+                let _ = rng.next_f32_range(-l, l);
+                S::store(o, 0.0);
+            }
+        }
+        1 => with_signs(heads, start, run, |o, sign| {
+            let eps = rng.next_f32_range(-l, l);
+            // `-l` flips exactly the sign bit (see `heads_pm`).
+            S::store(o, f32::from_bits(l.to_bits() ^ sign) - eps);
+        }),
+        _ => {
+            let bytes = tails.as_bytes().get(start * 4..).unwrap_or(&[]);
+            for (o, b) in run.iter_mut().zip(bytes.chunks_exact(4)) {
+                let _ = rng.next_f32_range(-l, l);
+                S::store(
+                    o,
+                    f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+                );
+            }
+        }
+    });
+    Ok(())
 }
 
 #[cfg(test)]

@@ -27,10 +27,10 @@
 //! bit-packed **parts** (part 0 is the head). The wire layer lays parts out
 //! front-to-back in each packet so that switch trimming truncates whole
 //! trailing parts. `decode` accepts a [`scheme::PartialRow`] describing,
-//! per coordinate, which prefix of parts survived.
+//! as spans of coordinates, which prefix of parts survived.
 //!
 //! ```
-//! use trimgrad_quant::scheme::{TrimmableScheme, PartialRow, PartView};
+//! use trimgrad_quant::scheme::TrimmableScheme;
 //! use trimgrad_quant::rht1bit::RhtOneBit;
 //!
 //! let scheme = RhtOneBit::default();
@@ -44,8 +44,7 @@
 //! }
 //!
 //! // Fully trimmed (heads only): decoding is approximate but unbiased.
-//! let view = PartialRow { n: enc.n, parts: vec![PartView::Full(&enc.parts[0]), PartView::Absent] };
-//! let est = scheme.decode(&view, &enc.meta, 42).unwrap();
+//! let est = scheme.decode(&enc.trimmed_view(1), &enc.meta, 42).unwrap();
 //! assert_eq!(est.len(), grad.len());
 //! ```
 
@@ -64,7 +63,7 @@ pub mod signmag;
 pub mod stats;
 pub mod stochastic;
 
-pub use scheme::{EncodedRow, PartView, PartialRow, RowMeta, SchemeId, TrimmableScheme};
+pub use scheme::{DepthSpan, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme};
 
 /// Constructs the scheme implementation for a [`SchemeId`] with default
 /// parameters (the ones used throughout the paper's evaluation).

@@ -21,11 +21,14 @@
 //! depending on queue pressure — close to the paper's 3% / 25% example.
 
 use crate::bitpack::BitBuf;
+use crate::kernels::{
+    check_out, check_padded, fill, heads_pm, rht_decode, sign_exp, sign_exp_mant, walk_spans, Add,
+    Store, Write,
+};
 use crate::scheme::{
     bits_f32, f32_bits, DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme,
 };
 use crate::stats::drive_scale;
-use trimgrad_hadamard::next_pow2;
 use trimgrad_hadamard::rht::RandomizedHadamard;
 
 /// The three-part (1/8/23-bit) prefix-decodable RHT scheme.
@@ -102,28 +105,37 @@ impl TrimmableScheme for MultiLevelRht {
         }
     }
 
-    fn decode(
+    // trimlint: hot-path -- span decode on the receive path
+    fn decode_into(
+        &self,
+        row: &PartialRow<'_>,
+        meta: &RowMeta,
+        seed: u64,
+        out: &mut [f32],
+    ) -> Result<(), DecodeError> {
+        decode_spans::<Write>(row, meta, seed, out)
+    }
+
+    // trimlint: hot-path -- fused decode-and-reduce on the ring's receive path
+    fn decode_accumulate(
+        &self,
+        row: &PartialRow<'_>,
+        meta: &RowMeta,
+        seed: u64,
+        acc: &mut [f32],
+    ) -> Result<(), DecodeError> {
+        decode_spans::<Add>(row, meta, seed, acc)
+    }
+
+    fn decode_scalar(
         &self,
         row: &PartialRow<'_>,
         meta: &RowMeta,
         seed: u64,
     ) -> Result<Vec<f32>, DecodeError> {
-        row.validate(&PART_BITS)?;
+        check_padded(row, meta, &PART_BITS)?;
         if row.n == 0 {
-            return if meta.original_len == 0 {
-                Ok(Vec::new())
-            } else {
-                Err(DecodeError::BadOriginalLen {
-                    n: 0,
-                    original_len: meta.original_len,
-                })
-            };
-        }
-        if next_pow2(meta.original_len) != row.n || meta.original_len == 0 {
-            return Err(DecodeError::BadOriginalLen {
-                n: row.n,
-                original_len: meta.original_len,
-            });
+            return Ok(Vec::new());
         }
         let f = meta.scale;
         let mut rotated = Vec::with_capacity(row.n);
@@ -131,15 +143,15 @@ impl TrimmableScheme for MultiLevelRht {
             rotated.push(match row.avail_depth(i) {
                 0 => 0.0,
                 1 => {
-                    if row.parts[0].get(i, 1) == 1 {
+                    if row.parts[0].get_bits(i, 1) == 1 {
                         -f
                     } else {
                         f
                     }
                 }
                 2 => {
-                    let sign = row.parts[0].get(i, 1) as u32;
-                    let exp = row.parts[1].get(i, 8) as u32;
+                    let sign = row.parts[0].get_bits(i, 1) as u32;
+                    let exp = row.parts[1].get_bits(i * 8, 8) as u32;
                     if exp == 0 {
                         // Zero / subnormal binade: the midpoint of [0, 2^-126)
                         // is negligible for gradients; decode as signed zero.
@@ -149,9 +161,9 @@ impl TrimmableScheme for MultiLevelRht {
                     }
                 }
                 _ => {
-                    let sign = row.parts[0].get(i, 1) as u32;
-                    let exp = row.parts[1].get(i, 8) as u32;
-                    let mant = row.parts[2].get(i, 23) as u32;
+                    let sign = row.parts[0].get_bits(i, 1) as u32;
+                    let exp = row.parts[1].get_bits(i * 8, 8) as u32;
+                    let mant = row.parts[2].get_bits(i * 23, 23) as u32;
                     bits_f32((sign << 31) | (exp << 23) | mant)
                 }
             });
@@ -159,6 +171,31 @@ impl TrimmableScheme for MultiLevelRht {
         let rht = RandomizedHadamard::new(seed);
         Ok(rht.inverse_padded(&rotated, meta.original_len))
     }
+}
+
+/// Span decode: the rotated row is rebuilt span by span, then inverted.
+fn decode_spans<S: Store>(
+    row: &PartialRow<'_>,
+    meta: &RowMeta,
+    seed: u64,
+    out: &mut [f32],
+) -> Result<(), DecodeError> {
+    check_padded(row, meta, &PART_BITS)?;
+    check_out(meta, out)?;
+    let [signs, exps, mants] = row.parts else {
+        return Ok(());
+    };
+    if row.n > 0 {
+        rht_decode::<S>(row.n, seed, out, |rotated| {
+            walk_spans(&row.spans, rotated, |depth, start, run| match depth {
+                0 => fill::<Write>(run, 0.0),
+                1 => heads_pm::<Write>(signs, start, run, meta.scale),
+                2 => sign_exp::<Write>(signs, exps, start, run, MANTISSA_MIDPOINT),
+                _ => sign_exp_mant::<Write>(signs, exps, mants, start, run),
+            });
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -14,11 +14,11 @@
 //! the mixed exact/estimated rotated row back to the original basis.
 
 use crate::bitpack::BitBuf;
+use crate::kernels::{check_out, check_padded, decode_sign31_row, rht_decode, Add, Store, Write};
 use crate::scheme::{
     bits_f32, f32_bits, DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme,
 };
 use crate::stats::drive_scale;
-use trimgrad_hadamard::next_pow2;
 use trimgrad_hadamard::rht::RandomizedHadamard;
 
 /// The DRIVE-style 1-bit RHT scheme. Stateless; rows are padded to the next
@@ -91,28 +91,37 @@ impl TrimmableScheme for RhtOneBit {
         }
     }
 
-    fn decode(
+    // trimlint: hot-path -- span decode on the receive path
+    fn decode_into(
+        &self,
+        row: &PartialRow<'_>,
+        meta: &RowMeta,
+        seed: u64,
+        out: &mut [f32],
+    ) -> Result<(), DecodeError> {
+        decode_spans::<Write>(row, meta, seed, out)
+    }
+
+    // trimlint: hot-path -- fused decode-and-reduce on the ring's receive path
+    fn decode_accumulate(
+        &self,
+        row: &PartialRow<'_>,
+        meta: &RowMeta,
+        seed: u64,
+        acc: &mut [f32],
+    ) -> Result<(), DecodeError> {
+        decode_spans::<Add>(row, meta, seed, acc)
+    }
+
+    fn decode_scalar(
         &self,
         row: &PartialRow<'_>,
         meta: &RowMeta,
         seed: u64,
     ) -> Result<Vec<f32>, DecodeError> {
-        row.validate(&PART_BITS)?;
+        check_padded(row, meta, &PART_BITS)?;
         if row.n == 0 {
-            return if meta.original_len == 0 {
-                Ok(Vec::new())
-            } else {
-                Err(DecodeError::BadOriginalLen {
-                    n: 0,
-                    original_len: meta.original_len,
-                })
-            };
-        }
-        if next_pow2(meta.original_len) != row.n || meta.original_len == 0 {
-            return Err(DecodeError::BadOriginalLen {
-                n: row.n,
-                original_len: meta.original_len,
-            });
+            return Ok(Vec::new());
         }
         let f = meta.scale;
         let mut rotated = Vec::with_capacity(row.n);
@@ -120,15 +129,15 @@ impl TrimmableScheme for RhtOneBit {
             rotated.push(match row.avail_depth(i) {
                 0 => 0.0,
                 1 => {
-                    if row.parts[0].get(i, 1) == 1 {
+                    if row.parts[0].get_bits(i, 1) == 1 {
                         -f
                     } else {
                         f
                     }
                 }
                 _ => {
-                    let sign = row.parts[0].get(i, 1) as u32;
-                    let rest = row.parts[1].get(i, 31) as u32;
+                    let sign = row.parts[0].get_bits(i, 1) as u32;
+                    let rest = row.parts[1].get_bits(i * 31, 31) as u32;
                     bits_f32((sign << 31) | rest)
                 }
             });
@@ -136,6 +145,23 @@ impl TrimmableScheme for RhtOneBit {
         let rht = RandomizedHadamard::new(seed);
         Ok(rht.inverse_padded(&rotated, meta.original_len))
     }
+}
+
+/// Span decode: the rotated row is rebuilt span by span, then inverted.
+fn decode_spans<S: Store>(
+    row: &PartialRow<'_>,
+    meta: &RowMeta,
+    seed: u64,
+    out: &mut [f32],
+) -> Result<(), DecodeError> {
+    check_padded(row, meta, &PART_BITS)?;
+    check_out(meta, out)?;
+    if row.n > 0 {
+        rht_decode::<S>(row.n, seed, out, |rotated| {
+            decode_sign31_row::<Write>(row, meta.scale, rotated);
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -9,14 +9,20 @@
 //! * [`EncodedRow`] — the sender-side result: `k` bit-packed **parts**, each
 //!   holding one fixed-width field per coordinate, plus small [`RowMeta`]
 //!   shipped reliably (never trimmed).
-//! * [`PartialRow`] — the receiver-side input: for each part, either the full
-//!   buffer, a masked buffer (some packets of the row trimmed, others not),
-//!   or nothing. Availability must be *prefix-closed* per coordinate: a
-//!   coordinate cannot have part `k` without parts `0..k`.
+//! * [`PartialRow`] — the receiver-side input: every part's full-stride
+//!   buffer plus a sorted list of [`DepthSpan`]s, contiguous coordinate runs
+//!   that arrived with the same number of parts (one span per packet, since
+//!   packetization emits contiguous ranges). A coordinate's availability is
+//!   a single depth, so it is *prefix-closed* by construction: a coordinate
+//!   cannot have part `k` without parts `0..k`.
 //! * [`TrimmableScheme`] — encode/decode plus the part geometry that the wire
-//!   layer uses to lay heads before tails in each packet.
+//!   layer uses to lay heads before tails in each packet. Decoders run one
+//!   word-at-a-time kernel per span ([`TrimmableScheme::decode_into`],
+//!   [`TrimmableScheme::decode_accumulate`]); the per-coordinate reference
+//!   decoders stay as [`TrimmableScheme::decode_scalar`].
 
-use crate::bitpack::{BitBuf, BitMask};
+use crate::bitpack::BitBuf;
+use std::borrow::Cow;
 
 /// Identifies a trimmable encoding on the wire (1 byte in the TrimGrad header).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -120,10 +126,7 @@ impl EncodedRow {
     /// A view with every part fully available (the untrimmed case).
     #[must_use]
     pub fn full_view(&self) -> PartialRow<'_> {
-        PartialRow {
-            n: self.n,
-            parts: self.parts.iter().map(PartView::Full).collect(),
-        }
+        self.trimmed_view(self.parts.len())
     }
 
     /// A view with only the first `depth` parts available for every
@@ -141,25 +144,33 @@ impl EncodedRow {
             "trim depth {depth} out of range 1..={}",
             self.parts.len()
         );
+        let span = DepthSpan {
+            start: 0,
+            len: self.n,
+            depth,
+        };
         PartialRow {
             n: self.n,
-            parts: self
-                .parts
-                .iter()
-                .enumerate()
-                .map(|(k, p)| {
-                    if k < depth {
-                        PartView::Full(p)
-                    } else {
-                        PartView::Absent
-                    }
-                })
-                .collect(),
+            parts: &self.parts,
+            spans: Cow::Owned(vec![span]),
+        }
+    }
+
+    /// A view where the coordinates of each span have `span.depth` parts
+    /// available and all other coordinates have none. `spans` must satisfy
+    /// the [`PartialRow`] invariant; decoders reject views that do not.
+    #[must_use]
+    pub fn view_with_spans<'a>(&'a self, spans: &'a [DepthSpan]) -> PartialRow<'a> {
+        PartialRow {
+            n: self.n,
+            parts: &self.parts,
+            spans: Cow::Borrowed(spans),
         }
     }
 
     /// A view where coordinate `i` has `depths[i]` parts available
-    /// (0 = nothing survived for that coordinate).
+    /// (0 = nothing survived for that coordinate). A test and example
+    /// convenience: runs of equal depth become one [`DepthSpan`] each.
     ///
     /// # Panics
     ///
@@ -172,30 +183,23 @@ impl EncodedRow {
             depths.iter().all(|&d| d <= k),
             "depth exceeds part count {k}"
         );
-        let parts = self
-            .parts
-            .iter()
-            .enumerate()
-            .map(|(level, buf)| {
-                let mut present = BitMask::absent(self.n);
-                let mut any = false;
-                let mut all = true;
-                for (i, &d) in depths.iter().enumerate() {
-                    let p = d > level;
-                    present.set(i, p);
-                    any |= p;
-                    all &= p;
-                }
-                if all {
-                    PartView::Full(buf)
-                } else if any {
-                    PartView::Masked { buf, present }
-                } else {
-                    PartView::Absent
-                }
-            })
-            .collect();
-        PartialRow { n: self.n, parts }
+        let mut spans: Vec<DepthSpan> = Vec::new();
+        for (i, &depth) in depths.iter().enumerate() {
+            match spans.last_mut() {
+                Some(s) if s.depth == depth && s.start + s.len == i => s.len += 1,
+                _ if depth == 0 => {}
+                _ => spans.push(DepthSpan {
+                    start: i,
+                    len: 1,
+                    depth,
+                }),
+            }
+        }
+        PartialRow {
+            n: self.n,
+            parts: &self.parts,
+            spans: Cow::Owned(spans),
+        }
     }
 
     /// Total encoded size in bits (all parts, excluding metadata).
@@ -205,61 +209,43 @@ impl EncodedRow {
     }
 }
 
-/// Availability of one encoding part on the receiver.
-#[derive(Debug, Clone)]
-pub enum PartView<'a> {
-    /// Every coordinate's field arrived.
-    Full(&'a BitBuf),
-    /// Some coordinates' fields arrived; `present` says which. `buf` keeps
-    /// full stride (absent entries hold unspecified bits that must not be
-    /// read).
-    Masked {
-        /// Full-stride field buffer.
-        buf: &'a BitBuf,
-        /// Per-coordinate presence.
-        present: BitMask,
-    },
-    /// The entire part was trimmed for every coordinate.
-    Absent,
+/// A contiguous run of coordinates `[start, start + len)` that arrived with
+/// the same number of parts: `depth` parts, counted from the head (0 =
+/// nothing arrived).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DepthSpan {
+    /// First coordinate of the run.
+    pub start: usize,
+    /// Number of coordinates in the run.
+    pub len: usize,
+    /// Parts available for every coordinate of the run.
+    pub depth: usize,
 }
 
-impl PartView<'_> {
-    /// Whether coordinate `i`'s field is available in this part.
+impl DepthSpan {
+    /// One past the last coordinate of the run.
     #[must_use]
-    pub fn has(&self, i: usize) -> bool {
-        match self {
-            PartView::Full(_) => true,
-            PartView::Masked { present, .. } => present.get(i),
-            PartView::Absent => false,
-        }
-    }
-
-    /// Reads coordinate `i`'s `width`-bit field.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the field is not available (callers must check [`has`](Self::has)).
-    #[must_use]
-    pub fn get(&self, i: usize, width: u32) -> u64 {
-        match self {
-            PartView::Full(buf) => buf.get_bits(i * width as usize, width),
-            PartView::Masked { buf, present } => {
-                assert!(present.get(i), "coordinate {i} absent in masked part");
-                buf.get_bits(i * width as usize, width)
-            }
-            // trimlint: allow(hot-path-panic) -- diagnosed misuse guard per the # Panics contract; callers check has() first
-            PartView::Absent => panic!("coordinate {i} read from absent part"),
-        }
+    pub fn end(&self) -> usize {
+        self.start + self.len
     }
 }
 
-/// What the receiver reassembled for one row: per-part availability.
+/// What the receiver reassembled for one row: the part buffers plus the
+/// depth of every coordinate, as spans.
+///
+/// Invariant (checked by [`validate`](Self::validate), which every decoder
+/// runs first): spans are sorted by `start`, pairwise disjoint, inside
+/// `[0, n)`, and no deeper than the part count. Coordinates outside every
+/// span have depth 0. Part buffers keep full stride; a field is meaningful
+/// only where a span's depth covers its part.
 #[derive(Debug, Clone)]
 pub struct PartialRow<'a> {
     /// Encoded row length (matches [`EncodedRow::n`]).
     pub n: usize,
-    /// One view per encoding part.
-    pub parts: Vec<PartView<'a>>,
+    /// One full-stride buffer per encoding part, head first.
+    pub parts: &'a [BitBuf],
+    /// Availability, as sorted disjoint spans.
+    pub spans: Cow<'a, [DepthSpan]>,
 }
 
 impl PartialRow<'_> {
@@ -268,12 +254,17 @@ impl PartialRow<'_> {
     /// lost rather than trimmed).
     #[must_use]
     pub fn avail_depth(&self, i: usize) -> usize {
-        self.parts.iter().take_while(|p| p.has(i)).count()
+        let at = self.spans.partition_point(|s| s.end() <= i);
+        self.spans
+            .get(at)
+            .filter(|s| s.start <= i)
+            .map_or(0, |s| s.depth)
     }
 
-    /// Validates structural invariants against a scheme's geometry:
-    /// part count matches, buffers hold `n` fields, and availability is
-    /// prefix-closed for every coordinate.
+    /// Validates structural invariants against a scheme's geometry: the
+    /// part count matches, every part some span reads holds `n` fields, and
+    /// the spans are sorted, disjoint, in range and no deeper than the part
+    /// count. Runs in O(spans + parts).
     ///
     /// # Errors
     ///
@@ -285,43 +276,27 @@ impl PartialRow<'_> {
                 got: self.parts.len(),
             });
         }
-        for (k, (view, &w)) in self.parts.iter().zip(part_bits).enumerate() {
-            let need = self.n * w as usize;
-            let have = match view {
-                PartView::Full(b) => Some(b.len()),
-                PartView::Masked { buf, present } => {
-                    if present.len() != self.n {
-                        return Err(DecodeError::LengthMismatch {
-                            part: k,
-                            expected: need,
-                            got: present.len(),
-                        });
-                    }
-                    Some(buf.len())
-                }
-                PartView::Absent => None,
-            };
-            if let Some(have) = have {
-                if have < need {
-                    return Err(DecodeError::LengthMismatch {
-                        part: k,
-                        expected: need,
-                        got: have,
-                    });
-                }
+        let mut pos = 0;
+        let mut max_depth = 0;
+        for (index, s) in self.spans.iter().enumerate() {
+            let in_order = s.start >= pos;
+            let in_range = s.start.checked_add(s.len).is_some_and(|e| e <= self.n);
+            if !in_order || !in_range || s.depth > part_bits.len() {
+                return Err(DecodeError::BadSpan { index });
+            }
+            pos = s.end();
+            if s.len > 0 {
+                max_depth = max_depth.max(s.depth);
             }
         }
-        // Prefix closure: no coordinate may have part k without part k-1.
-        for i in 0..self.n {
-            let mut seen_gap = false;
-            for (k, view) in self.parts.iter().enumerate() {
-                if view.has(i) {
-                    if seen_gap {
-                        return Err(DecodeError::PrefixViolation { coord: i, part: k });
-                    }
-                } else {
-                    seen_gap = true;
-                }
+        for (k, (buf, &w)) in self.parts.iter().zip(part_bits).enumerate().take(max_depth) {
+            let need = self.n * w as usize;
+            if buf.len() < need {
+                return Err(DecodeError::LengthMismatch {
+                    part: k,
+                    expected: need,
+                    got: buf.len(),
+                });
             }
         }
         Ok(())
@@ -338,22 +313,29 @@ pub enum DecodeError {
         /// View's part count.
         got: usize,
     },
-    /// A part buffer or mask is too short for `n` coordinates.
+    /// A part buffer is too short for `n` coordinates.
     LengthMismatch {
         /// Which part.
         part: usize,
-        /// Bits (or entries) required.
+        /// Bits required.
         expected: usize,
-        /// Bits (or entries) found.
+        /// Bits found.
         got: usize,
     },
-    /// Coordinate has a later part without an earlier one — impossible under
-    /// trimming, indicates reassembly corruption.
-    PrefixViolation {
-        /// The offending coordinate.
-        coord: usize,
-        /// The part present despite an earlier gap.
-        part: usize,
+    /// An availability span is out of order, overlaps its predecessor, runs
+    /// past the row, or is deeper than the part count — indicates
+    /// reassembly corruption.
+    BadSpan {
+        /// Index of the offending span.
+        index: usize,
+    },
+    /// The output slice of `decode_into`/`decode_accumulate` does not hold
+    /// exactly `meta.original_len` coordinates.
+    OutputLenMismatch {
+        /// `meta.original_len`.
+        expected: usize,
+        /// The slice's length.
+        got: usize,
     },
     /// `meta.original_len` is inconsistent with the encoded length `n`.
     BadOriginalLen {
@@ -377,11 +359,11 @@ impl core::fmt::Display for DecodeError {
             } => {
                 write!(f, "part {part}: expected {expected} bits, got {got}")
             }
-            DecodeError::PrefixViolation { coord, part } => {
-                write!(
-                    f,
-                    "coordinate {coord} has part {part} but misses an earlier part"
-                )
+            DecodeError::BadSpan { index } => {
+                write!(f, "availability span {index} is malformed")
+            }
+            DecodeError::OutputLenMismatch { expected, got } => {
+                write!(f, "output holds {got} coordinates, expected {expected}")
             }
             DecodeError::BadOriginalLen { n, original_len } => {
                 write!(
@@ -436,10 +418,73 @@ pub trait TrimmableScheme: Send + Sync {
     /// coordinates. Coordinates whose head was lost entirely decode to `0.0`
     /// (the neutral element of gradient averaging).
     ///
+    /// An allocating wrapper over [`decode_into`](Self::decode_into).
+    ///
     /// # Errors
     ///
     /// Structural errors only ([`DecodeError`]); trimming is not an error.
     fn decode(
+        &self,
+        row: &PartialRow<'_>,
+        meta: &RowMeta,
+        seed: u64,
+    ) -> Result<Vec<f32>, DecodeError> {
+        row.validate(self.part_bits())?;
+        // Every scheme pads (if at all) upwards, so this also bounds the
+        // allocation below by the validated row.
+        if meta.original_len > row.n {
+            return Err(DecodeError::BadOriginalLen {
+                n: row.n,
+                original_len: meta.original_len,
+            });
+        }
+        let mut out = vec![0.0; meta.original_len];
+        self.decode_into(row, meta, seed, &mut out)?;
+        Ok(out)
+    }
+
+    /// Decodes into `out` (exactly `meta.original_len` coordinates), one
+    /// word-at-a-time kernel per availability span.
+    ///
+    /// Bit-identical to [`decode_scalar`](Self::decode_scalar) by contract.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode`](Self::decode), plus [`DecodeError::OutputLenMismatch`];
+    /// `out` is unspecified after an error.
+    fn decode_into(
+        &self,
+        row: &PartialRow<'_>,
+        meta: &RowMeta,
+        seed: u64,
+        out: &mut [f32],
+    ) -> Result<(), DecodeError>;
+
+    /// Decodes and adds into `acc`: afterwards `acc[i]` is bit-identical to
+    /// `acc[i] + decode_scalar(..)[i]`, without materializing the decoded
+    /// row. This is the reduce-scatter step of a ring all-reduce.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode_into`](Self::decode_into); `acc` is untouched after an
+    /// error.
+    fn decode_accumulate(
+        &self,
+        row: &PartialRow<'_>,
+        meta: &RowMeta,
+        seed: u64,
+        acc: &mut [f32],
+    ) -> Result<(), DecodeError>;
+
+    /// Decodes via the retained per-coordinate reference path: one
+    /// [`PartialRow::avail_depth`] lookup and one [`BitBuf::get_bits`] per
+    /// field. Kept as the differential baseline for the identity tests and
+    /// benchmarks.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode`](Self::decode).
+    fn decode_scalar(
         &self,
         row: &PartialRow<'_>,
         meta: &RowMeta,
@@ -545,9 +590,13 @@ mod tests {
         assert_eq!(v.avail_depth(2), 0);
         assert_eq!(v.avail_depth(3), 2);
         assert!(v.validate(&[1, 3]).is_ok());
-        // Fields still readable where available.
-        assert_eq!(v.parts[0].get(0, 1), 0);
-        assert_eq!(v.parts[1].get(3, 3), 6);
+        // Runs of equal depth collapse; depth-0 runs leave no span.
+        let spans = |start, len, depth| DepthSpan { start, len, depth };
+        assert_eq!(&*v.spans, &[spans(0, 1, 2), spans(1, 1, 1), spans(3, 1, 2)]);
+        assert_eq!(
+            &*row.view_with_depths(&[1, 1, 1, 1]).spans,
+            &[spans(0, 4, 1)]
+        );
     }
 
     #[test]
@@ -575,38 +624,41 @@ mod tests {
     }
 
     #[test]
-    fn validate_catches_prefix_violation() {
+    fn validate_catches_malformed_spans() {
         let row = sample_row();
-        // Coordinate 1: head absent but tail present — impossible under trimming.
-        let mut head_mask = BitMask::present(4);
-        head_mask.set(1, false);
-        let v = PartialRow {
-            n: 4,
-            parts: vec![
-                PartView::Masked {
-                    buf: &row.parts[0],
-                    present: head_mask,
-                },
-                PartView::Full(&row.parts[1]),
-            ],
-        };
+        let span = |start, len, depth| DepthSpan { start, len, depth };
+        for (bad, index) in [
+            (vec![span(2, 2, 1), span(0, 1, 1)], 1), // out of order
+            (vec![span(0, 2, 1), span(1, 2, 2)], 1), // overlapping
+            (vec![span(3, 2, 1)], 0),                // past the row
+            (vec![span(usize::MAX, 2, 1)], 0),       // end overflows
+            (vec![span(0, 1, 3)], 0),                // deeper than the parts
+        ] {
+            assert_eq!(
+                row.view_with_spans(&bad).validate(&[1, 3]),
+                Err(DecodeError::BadSpan { index }),
+                "{bad:?}"
+            );
+        }
+        let ok = [span(0, 1, 2), span(1, 0, 0), span(3, 1, 1)];
+        let v = row.view_with_spans(&ok);
+        assert!(v.validate(&[1, 3]).is_ok());
         assert_eq!(
-            v.validate(&[1, 3]),
-            Err(DecodeError::PrefixViolation { coord: 1, part: 1 })
+            (0..4).map(|i| v.avail_depth(i)).collect::<Vec<_>>(),
+            [2, 0, 0, 1]
         );
     }
 
     #[test]
-    #[should_panic(expected = "absent in masked part")]
-    fn masked_get_panics_on_absent_coord() {
-        let row = sample_row();
-        let mut present = BitMask::absent(4);
-        present.set(0, true);
-        let view = PartView::Masked {
-            buf: &row.parts[0],
-            present,
-        };
-        let _ = view.get(2, 1);
+    fn validate_skips_lengths_of_unread_parts() {
+        // A heads-only view never reads the tail, so a short tail is fine.
+        let mut row = sample_row();
+        row.parts[1] = BitBuf::new();
+        assert!(row.trimmed_view(1).validate(&[1, 3]).is_ok());
+        assert!(matches!(
+            row.full_view().validate(&[1, 3]),
+            Err(DecodeError::LengthMismatch { part: 1, .. })
+        ));
     }
 
     #[test]
@@ -618,8 +670,13 @@ mod tests {
 
     #[test]
     fn decode_error_messages() {
-        let e = DecodeError::PrefixViolation { coord: 3, part: 1 };
-        assert!(e.to_string().contains("coordinate 3"));
+        let e = DecodeError::BadSpan { index: 3 };
+        assert!(e.to_string().contains("span 3"));
+        let e = DecodeError::OutputLenMismatch {
+            expected: 4,
+            got: 5,
+        };
+        assert!(e.to_string().contains("expected 4"));
         let e = DecodeError::BadOriginalLen {
             n: 8,
             original_len: 9,

@@ -12,6 +12,7 @@
 //! the scheme is included as the paper's cautionary baseline.
 
 use crate::bitpack::BitBuf;
+use crate::kernels::{check_out, check_unpadded, decode_sign31_row, Add, Store, Write};
 use crate::scheme::{
     bits_f32, f32_bits, DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme,
 };
@@ -65,40 +66,67 @@ impl TrimmableScheme for SignMagnitude {
         }
     }
 
-    fn decode(
+    // trimlint: hot-path -- span decode on the receive path
+    fn decode_into(
+        &self,
+        row: &PartialRow<'_>,
+        meta: &RowMeta,
+        _seed: u64,
+        out: &mut [f32],
+    ) -> Result<(), DecodeError> {
+        decode_spans::<Write>(row, meta, out)
+    }
+
+    // trimlint: hot-path -- fused decode-and-reduce on the ring's receive path
+    fn decode_accumulate(
+        &self,
+        row: &PartialRow<'_>,
+        meta: &RowMeta,
+        _seed: u64,
+        acc: &mut [f32],
+    ) -> Result<(), DecodeError> {
+        decode_spans::<Add>(row, meta, acc)
+    }
+
+    fn decode_scalar(
         &self,
         row: &PartialRow<'_>,
         meta: &RowMeta,
         _seed: u64,
     ) -> Result<Vec<f32>, DecodeError> {
-        row.validate(&PART_BITS)?;
-        if meta.original_len != row.n {
-            return Err(DecodeError::BadOriginalLen {
-                n: row.n,
-                original_len: meta.original_len,
-            });
-        }
+        check_unpadded(row, meta, &PART_BITS)?;
         let sigma = meta.scale;
         let mut out = Vec::with_capacity(row.n);
         for i in 0..row.n {
             out.push(match row.avail_depth(i) {
                 0 => 0.0,
                 1 => {
-                    if row.parts[0].get(i, 1) == 1 {
+                    if row.parts[0].get_bits(i, 1) == 1 {
                         -sigma
                     } else {
                         sigma
                     }
                 }
                 _ => {
-                    let sign = row.parts[0].get(i, 1) as u32;
-                    let rest = row.parts[1].get(i, 31) as u32;
+                    let sign = row.parts[0].get_bits(i, 1) as u32;
+                    let rest = row.parts[1].get_bits(i * 31, 31) as u32;
                     bits_f32((sign << 31) | rest)
                 }
             });
         }
         Ok(out)
     }
+}
+
+fn decode_spans<S: Store>(
+    row: &PartialRow<'_>,
+    meta: &RowMeta,
+    out: &mut [f32],
+) -> Result<(), DecodeError> {
+    check_unpadded(row, meta, &PART_BITS)?;
+    check_out(meta, out)?;
+    decode_sign31_row::<S>(row, meta.scale, out);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -14,6 +14,9 @@
 //! reproducible (§5.4), but decoding needs no randomness at all.
 
 use crate::bitpack::BitBuf;
+use crate::kernels::{
+    check_out, check_unpadded, f32_tails, fill, heads_pm, walk_spans, Add, Store, Write,
+};
 use crate::scheme::{
     bits_f32, f32_bits, DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme,
 };
@@ -107,36 +110,70 @@ impl TrimmableScheme for StochasticQuantization {
         }
     }
 
-    fn decode(
+    // trimlint: hot-path -- span decode on the receive path
+    fn decode_into(
+        &self,
+        row: &PartialRow<'_>,
+        meta: &RowMeta,
+        _seed: u64,
+        out: &mut [f32],
+    ) -> Result<(), DecodeError> {
+        decode_spans::<Write>(row, meta, out)
+    }
+
+    // trimlint: hot-path -- fused decode-and-reduce on the ring's receive path
+    fn decode_accumulate(
+        &self,
+        row: &PartialRow<'_>,
+        meta: &RowMeta,
+        _seed: u64,
+        acc: &mut [f32],
+    ) -> Result<(), DecodeError> {
+        decode_spans::<Add>(row, meta, acc)
+    }
+
+    fn decode_scalar(
         &self,
         row: &PartialRow<'_>,
         meta: &RowMeta,
         _seed: u64,
     ) -> Result<Vec<f32>, DecodeError> {
-        row.validate(&PART_BITS)?;
-        if meta.original_len != row.n {
-            return Err(DecodeError::BadOriginalLen {
-                n: row.n,
-                original_len: meta.original_len,
-            });
-        }
+        check_unpadded(row, meta, &PART_BITS)?;
         let l = meta.scale;
         let mut out = Vec::with_capacity(row.n);
         for i in 0..row.n {
             out.push(match row.avail_depth(i) {
                 0 => 0.0,
                 1 => {
-                    if row.parts[0].get(i, 1) == 1 {
+                    if row.parts[0].get_bits(i, 1) == 1 {
                         -l
                     } else {
                         l
                     }
                 }
-                _ => bits_f32(row.parts[1].get(i, 32) as u32),
+                _ => bits_f32(row.parts[1].get_bits(i * 32, 32) as u32),
             });
         }
         Ok(out)
     }
+}
+
+fn decode_spans<S: Store>(
+    row: &PartialRow<'_>,
+    meta: &RowMeta,
+    out: &mut [f32],
+) -> Result<(), DecodeError> {
+    check_unpadded(row, meta, &PART_BITS)?;
+    check_out(meta, out)?;
+    let (Some(heads), Some(tails)) = (row.parts.first(), row.parts.get(1)) else {
+        return Ok(());
+    };
+    walk_spans(&row.spans, out, |depth, start, run| match depth {
+        0 => fill::<S>(run, 0.0),
+        1 => heads_pm::<S>(heads, start, run, meta.scale),
+        _ => f32_tails::<S>(tails, start, run),
+    });
+    Ok(())
 }
 
 #[cfg(test)]

@@ -5,12 +5,19 @@
 //! and exposes the availability-aware [`PartialRow`] view the quant layer
 //! decodes. Coordinates whose packets never arrive simply stay absent —
 //! exactly the semantics of a lossy trimming fabric.
+//!
+//! Availability is kept as sorted, disjoint [`DepthSpan`]s — one per packet
+//! in the common case, since a packet carries a contiguous coordinate range
+//! at one depth — with running counts of head-covered and fully-covered
+//! coordinates, so the completeness queries are O(1) and the view lends the
+//! spans without copying.
 
 use crate::meta::RowMetaPacket;
 use crate::packet::GradPacket;
 use crate::{Result, WireError};
-use trimgrad_quant::bitpack::{BitBuf, BitMask};
-use trimgrad_quant::scheme::{PartView, PartialRow, RowMeta};
+use std::borrow::Cow;
+use trimgrad_quant::bitpack::BitBuf;
+use trimgrad_quant::scheme::{DepthSpan, PartialRow, RowMeta};
 use trimgrad_quant::SchemeId;
 
 /// The encoded (possibly padded) length for a row of `original_len`
@@ -37,7 +44,14 @@ pub struct RowAssembler {
     row_id: u32,
     n: usize,
     parts: Vec<BitBuf>,
-    masks: Vec<BitMask>,
+    /// Availability, under the [`PartialRow`] span invariant.
+    spans: Vec<DepthSpan>,
+    /// Coordinates whose head has arrived (depth ≥ 1).
+    heads_covered: usize,
+    /// Coordinates that arrived at full depth.
+    full_covered: usize,
+    /// Reused buffer for re-cutting the spans a packet overlaps.
+    recut: Vec<DepthSpan>,
     meta: Option<RowMeta>,
     epoch: Option<u32>,
 }
@@ -47,17 +61,20 @@ impl RowAssembler {
     #[must_use]
     pub fn new(scheme: SchemeId, msg_id: u32, row_id: u32, original_len: usize) -> Self {
         let n = encoded_n(scheme, original_len);
-        let part_bits = scheme.part_bits();
         Self {
             scheme,
             msg_id,
             row_id,
             n,
-            parts: part_bits
+            parts: scheme
+                .part_bits()
                 .iter()
                 .map(|&w| BitBuf::zeroed(n * w as usize))
                 .collect(),
-            masks: part_bits.iter().map(|_| BitMask::absent(n)).collect(),
+            spans: Vec::new(),
+            heads_covered: 0,
+            full_covered: 0,
+            recut: Vec::new(),
             meta: Some(RowMeta {
                 original_len,
                 scale: 0.0,
@@ -109,13 +126,17 @@ impl RowAssembler {
     /// # Errors
     ///
     /// [`WireError::BadField`] if the identity or geometry disagrees with
-    /// what the assembler was created for.
+    /// what the assembler was created for, or the epoch disagrees with the
+    /// one data packets already set. A rejected packet changes nothing.
     pub fn ingest_meta(&mut self, meta: &RowMetaPacket) -> Result<()> {
         if meta.scheme != self.scheme || meta.msg_id != self.msg_id || meta.row_id != self.row_id {
             return Err(WireError::BadField("row identity"));
         }
         if encoded_n(meta.scheme, meta.original_len as usize) != self.n {
             return Err(WireError::BadField("original_len"));
+        }
+        if self.epoch.is_some_and(|e| e != meta.epoch) {
+            return Err(WireError::BadField("epoch"));
         }
         self.meta = Some(meta.row_meta());
         self.epoch = Some(meta.epoch);
@@ -126,12 +147,14 @@ impl RowAssembler {
     ///
     /// Availability only ever grows: a duplicate that arrives *less* trimmed
     /// than a previous copy upgrades the coordinates; a more-trimmed
-    /// duplicate adds nothing but is not an error.
+    /// duplicate adds nothing but is not an error. Every check runs before
+    /// any state changes, so a rejected packet leaves the assembler —
+    /// epoch included — exactly as it was.
     ///
     /// # Errors
     ///
     /// Parse/validation errors, or [`WireError::BadField`] when the packet
-    /// belongs to a different row or exceeds the row bounds.
+    /// belongs to a different row or epoch, or exceeds the row bounds.
     // trimlint: hot-path -- per-packet reassembly on the receive path
     pub fn ingest(&mut self, pkt: &GradPacket) -> Result<()> {
         let parsed = pkt.parse()?;
@@ -147,10 +170,8 @@ impl RowAssembler {
         if f.n_parts as usize != self.parts.len() {
             return Err(WireError::BadField("n_parts"));
         }
-        match self.epoch {
-            None => self.epoch = Some(f.epoch),
-            Some(e) if e != f.epoch => return Err(WireError::BadField("epoch")),
-            Some(_) => {}
+        if self.epoch.is_some_and(|e| e != f.epoch) {
+            return Err(WireError::BadField("epoch"));
         }
         let part_bits = self.scheme.part_bits();
         // Defense in depth: every section must hold exactly the bytes its
@@ -158,20 +179,79 @@ impl RowAssembler {
         // the layout's ranges, but nothing upstream is trusted here — a
         // short section would panic inside the bit copy below, and a long
         // one would decode garbage into the row.
-        for (k, section) in parsed.sections.iter().enumerate() {
-            let w = part_bits[k] as usize;
-            if section.len() != (count * w).div_ceil(8) {
+        for (section, &w) in parsed.sections.iter().zip(part_bits) {
+            if section.len() != (count * w as usize).div_ceil(8) {
                 return Err(WireError::BadField("section length"));
             }
         }
-        for (k, section) in parsed.sections.iter().enumerate() {
-            let w = part_bits[k] as usize;
+        self.epoch = Some(f.epoch);
+        for ((section, &w), part) in parsed.sections.iter().zip(part_bits).zip(&mut self.parts) {
+            let w = w as usize;
             // Zero-copy: section bytes land straight in the row part's
             // backing store, no intermediate BitBuf per packet.
-            self.parts[k].write_bits_from_bytes(start * w, section, count * w);
-            self.masks[k].set_range(start, start + count, true);
+            part.write_bits_from_bytes(start * w, section, count * w);
         }
+        self.raise(start, start + count, parsed.sections.len());
         Ok(())
+    }
+
+    /// Raises the availability of `[start, end)` to at least `depth`.
+    fn raise(&mut self, start: usize, end: usize, depth: usize) {
+        if start >= end || depth == 0 {
+            return;
+        }
+        let k = self.parts.len();
+        let weigh = |s: &DepthSpan| {
+            (
+                if s.depth > 0 { s.len } else { 0 },
+                if s.depth == k { s.len } else { 0 },
+            )
+        };
+        // In-order arrival (the common case) appends past the last span.
+        if self.spans.last().is_none_or(|last| last.end() <= start) {
+            let span = DepthSpan {
+                start,
+                len: end - start,
+                depth,
+            };
+            let (heads, full) = weigh(&span);
+            self.heads_covered += heads;
+            self.full_covered += full;
+            push_merged(&mut self.spans, span);
+            return;
+        }
+        // Re-cut the spans overlapping [start, end): parts outside the range
+        // keep their depth, parts inside take the max, gaps take `depth`.
+        let lo = self.spans.partition_point(|s| s.end() <= start);
+        let hi = self.spans.partition_point(|s| s.start < end);
+        self.recut.clear();
+        let mut cursor = start;
+        for s in &self.spans[lo..hi] {
+            let (heads, full) = weigh(s);
+            self.heads_covered -= heads;
+            self.full_covered -= full;
+            if s.start < start {
+                push_merged(&mut self.recut, piece(s.start, start, s.depth));
+            }
+            if s.start > cursor {
+                push_merged(&mut self.recut, piece(cursor, s.start, depth));
+            }
+            let (a, b) = (s.start.max(start), s.end().min(end));
+            push_merged(&mut self.recut, piece(a, b, s.depth.max(depth)));
+            cursor = b;
+            if s.end() > end {
+                push_merged(&mut self.recut, piece(end, s.end(), s.depth));
+            }
+        }
+        if cursor < end {
+            push_merged(&mut self.recut, piece(cursor, end, depth));
+        }
+        for s in &self.recut {
+            let (heads, full) = weigh(s);
+            self.heads_covered += heads;
+            self.full_covered += full;
+        }
+        self.spans.splice(lo..hi, self.recut.drain(..));
     }
 
     /// [`RowAssembler::ingest`] that also records a
@@ -206,46 +286,49 @@ impl RowAssembler {
     /// Number of coordinates whose head (part 0) has arrived.
     #[must_use]
     pub fn coords_received(&self) -> usize {
-        if self.masks.is_empty() {
-            return 0;
-        }
-        self.masks[0].count_present()
+        self.heads_covered
     }
 
     /// Whether every coordinate arrived at full depth.
     #[must_use]
     pub fn is_complete(&self) -> bool {
-        self.masks.iter().all(|m| m.count_present() == self.n)
+        self.full_covered == self.n
     }
 
     /// Whether every coordinate's head arrived (possibly trimmed deeper).
     #[must_use]
     pub fn heads_complete(&self) -> bool {
-        self.coords_received() == self.n
+        self.heads_covered == self.n
     }
 
-    /// The availability view for decoding.
+    /// The availability view for decoding (borrows; allocates nothing).
     #[must_use]
     pub fn partial_row(&self) -> PartialRow<'_> {
-        let parts = self
-            .parts
-            .iter()
-            .zip(&self.masks)
-            .map(|(buf, mask)| {
-                let present = mask.count_present();
-                if present == self.n {
-                    PartView::Full(buf)
-                } else if present == 0 {
-                    PartView::Absent
-                } else {
-                    PartView::Masked {
-                        buf,
-                        present: mask.clone(),
-                    }
-                }
-            })
-            .collect();
-        PartialRow { n: self.n, parts }
+        PartialRow {
+            n: self.n,
+            parts: &self.parts,
+            spans: Cow::Borrowed(&self.spans),
+        }
+    }
+}
+
+fn piece(start: usize, end: usize, depth: usize) -> DepthSpan {
+    DepthSpan {
+        start,
+        len: end - start,
+        depth,
+    }
+}
+
+/// Appends `span`, extending the last span instead when it is adjacent and
+/// equally deep. Empty spans are dropped.
+fn push_merged(spans: &mut Vec<DepthSpan>, span: DepthSpan) {
+    if span.len == 0 {
+        return;
+    }
+    match spans.last_mut() {
+        Some(last) if last.end() == span.start && last.depth == span.depth => last.len += span.len,
+        _ => spans.push(span),
     }
 }
 
@@ -416,10 +499,6 @@ mod tests {
         // every outer length and checksum patched to look honest) must be
         // rejected by ingest without panicking and without touching the
         // already-assembled coordinates.
-        use crate::ethernet::{self, EthernetFrame};
-        use crate::ipv4::{self, Ipv4Packet};
-        use crate::udp::UdpDatagram;
-
         let row: Vec<f32> = (0..720).map(|i| i as f32).collect();
         let enc = SignMagnitude.encode(&row, 0);
         let c = cfg();
@@ -429,31 +508,7 @@ mod tests {
         asm.ingest(&pr.packets[0]).unwrap();
         let before = asm.coords_received();
 
-        // Chop 7 bytes off the tail section, then patch the UDP and IPv4
-        // length/checksum fields so only the TrimGrad body is short.
-        let mut bytes = pr.packets[1].clone().into_frame();
-        let (src_ip, dst_ip) = {
-            let eth = EthernetFrame::new_checked(&bytes[..]).unwrap();
-            let ip = Ipv4Packet::new_checked(eth.payload()).unwrap();
-            (ip.src(), ip.dst())
-        };
-        let cut = bytes.len() - 7;
-        bytes.truncate(cut);
-        let new_ip_len = u16::try_from(cut - ethernet::HEADER_LEN).unwrap();
-        let new_udp_len = new_ip_len - u16::try_from(ipv4::HEADER_LEN).unwrap();
-        let udp_start = ethernet::HEADER_LEN + ipv4::HEADER_LEN;
-        bytes[udp_start + 4..udp_start + 6].copy_from_slice(&new_udp_len.to_be_bytes());
-        {
-            let mut dgram = UdpDatagram::new_checked(&mut bytes[udp_start..]).unwrap();
-            dgram.fill_checksum(src_ip, dst_ip);
-        }
-        bytes[ethernet::HEADER_LEN + 2..ethernet::HEADER_LEN + 4]
-            .copy_from_slice(&new_ip_len.to_be_bytes());
-        {
-            let mut ip = Ipv4Packet::new_checked(&mut bytes[ethernet::HEADER_LEN..]).unwrap();
-            ip.fill_checksum();
-        }
-        let bad = GradPacket::from_frame(bytes);
+        let bad = truncate_body(&pr.packets[1], 7);
         assert!(asm.ingest(&bad).is_err(), "truncated body must not ingest");
         assert_eq!(asm.coords_received(), before, "availability unchanged");
         assert_eq!(asm.epoch(), Some(c.epoch));
@@ -495,6 +550,131 @@ mod tests {
             asm.ingest(&p2.packets[0]).unwrap_err(),
             WireError::BadField("epoch")
         );
+    }
+
+    /// A frame cut inside its last section, with every outer length and
+    /// checksum patched to look honest, so only the TrimGrad body is short.
+    fn truncate_body(pkt: &GradPacket, cut: usize) -> GradPacket {
+        use crate::ethernet::{self, EthernetFrame};
+        use crate::ipv4::{self, Ipv4Packet};
+        use crate::udp::UdpDatagram;
+
+        let mut bytes = pkt.clone().into_frame();
+        let (src_ip, dst_ip) = {
+            let eth = EthernetFrame::new_checked(&bytes[..]).unwrap();
+            let ip = Ipv4Packet::new_checked(eth.payload()).unwrap();
+            (ip.src(), ip.dst())
+        };
+        let len = bytes.len() - cut;
+        bytes.truncate(len);
+        let new_ip_len = u16::try_from(len - ethernet::HEADER_LEN).unwrap();
+        let new_udp_len = new_ip_len - u16::try_from(ipv4::HEADER_LEN).unwrap();
+        let udp_start = ethernet::HEADER_LEN + ipv4::HEADER_LEN;
+        bytes[udp_start + 4..udp_start + 6].copy_from_slice(&new_udp_len.to_be_bytes());
+        {
+            let mut dgram = UdpDatagram::new_checked(&mut bytes[udp_start..]).unwrap();
+            dgram.fill_checksum(src_ip, dst_ip);
+        }
+        bytes[ethernet::HEADER_LEN + 2..ethernet::HEADER_LEN + 4]
+            .copy_from_slice(&new_ip_len.to_be_bytes());
+        {
+            let mut ip = Ipv4Packet::new_checked(&mut bytes[ethernet::HEADER_LEN..]).unwrap();
+            ip.fill_checksum();
+        }
+        GradPacket::from_frame(bytes)
+    }
+
+    #[test]
+    fn rejected_first_frame_does_not_pin_the_epoch() {
+        // Regression: ingest used to commit a frame's epoch before its last
+        // check (section lengths) ran, so a refused first frame from another
+        // epoch could pin the row to that epoch and every genuine frame
+        // after it was rejected. Every check now precedes every write.
+        let row: Vec<f32> = (0..720).map(|i| i as f32).collect();
+        let enc = SignMagnitude.encode(&row, 0);
+        let c = cfg();
+        let pr = packetize_row(&enc, &c);
+        let forged = packetize_row(&enc, &PacketizeConfig { epoch: 9, ..c });
+        let mut asm = assembler_for(&enc, &c);
+        assert!(asm.ingest(&truncate_body(&forged.packets[1], 7)).is_err());
+        assert_eq!(asm.epoch(), None, "a rejected frame commits nothing");
+        assert!(asm.partial_row().spans.is_empty());
+        for pkt in &pr.packets {
+            asm.ingest(pkt).unwrap();
+        }
+        asm.ingest_meta(&pr.meta).unwrap();
+        assert!(asm.is_complete());
+        assert_eq!(asm.epoch(), Some(c.epoch));
+    }
+
+    #[test]
+    fn meta_from_another_epoch_is_rejected_in_either_order() {
+        let row: Vec<f32> = (0..100).map(|i| i as f32).collect();
+        let enc = SignMagnitude.encode(&row, 0);
+        let c = cfg();
+        let pr = packetize_row(&enc, &c);
+        let mut foreign_meta = pr.meta;
+        foreign_meta.epoch = c.epoch + 1;
+        foreign_meta.scale = 123.0;
+
+        // Data first: the foreign meta may not overwrite the data's epoch.
+        let mut asm = assembler_for(&enc, &c);
+        asm.ingest(&pr.packets[0]).unwrap();
+        assert_eq!(
+            asm.ingest_meta(&foreign_meta).unwrap_err(),
+            WireError::BadField("epoch")
+        );
+        assert_eq!(asm.epoch(), Some(c.epoch));
+        assert_eq!(asm.meta().unwrap().scale, 0.0, "meta unchanged");
+        asm.ingest_meta(&pr.meta).unwrap();
+        assert_eq!(asm.meta().unwrap().scale, pr.meta.scale);
+
+        // Meta first: data from the meta's epoch only.
+        let mut asm = assembler_for(&enc, &c);
+        asm.ingest_meta(&foreign_meta).unwrap();
+        assert_eq!(
+            asm.ingest(&pr.packets[0]).unwrap_err(),
+            WireError::BadField("epoch")
+        );
+        assert_eq!(asm.coords_received(), 0);
+        assert_eq!(
+            asm.ingest_meta(&pr.meta).unwrap_err(),
+            WireError::BadField("epoch")
+        );
+        assert_eq!(asm.meta().unwrap().scale, 123.0);
+    }
+
+    #[test]
+    fn out_of_order_and_overlapping_arrivals_keep_spans_canonical() {
+        let row: Vec<f32> = (0..2000).map(|i| (i as f32).sin()).collect();
+        let enc = SignMagnitude.encode(&row, 0);
+        let c = cfg();
+        let pr = packetize_row(&enc, &c);
+        assert!(pr.packets.len() >= 4);
+        let trimmed = |i: usize| {
+            let mut p = pr.packets[i].clone();
+            p.trim_to_depth(1).unwrap();
+            p
+        };
+        let mut asm = assembler_for(&enc, &c);
+        for pkt in [
+            trimmed(2),
+            pr.packets[0].clone(),
+            trimmed(1),
+            pr.packets[2].clone(),
+            trimmed(0),
+            trimmed(3),
+        ] {
+            asm.ingest(&pkt).unwrap();
+        }
+        let depths: Vec<usize> = asm.partial_row().spans.iter().map(|s| s.depth).collect();
+        assert_eq!(depths, [2, 1, 2, 1]);
+        assert!(asm.partial_row().validate(&[1, 31]).is_ok());
+        let full: usize = pr.packets[..4]
+            .iter()
+            .map(|p| p.quick_fields().unwrap().coord_count as usize)
+            .sum();
+        assert_eq!(asm.coords_received(), full);
     }
 
     #[test]

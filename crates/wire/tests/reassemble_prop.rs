@@ -7,7 +7,6 @@
 
 use proptest::prelude::*;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
-use trimgrad_quant::scheme::PartView;
 use trimgrad_quant::{scheme_for, SchemeId};
 use trimgrad_wire::packet::{GradPacket, NetAddrs};
 use trimgrad_wire::packetize::{packetize_row, PacketizeConfig};
@@ -31,14 +30,38 @@ fn row(n: usize, seed: u64) -> Vec<f32> {
 /// Total per-part coordinate availability — the quantity that must only grow.
 fn availability(asm: &RowAssembler) -> usize {
     asm.partial_row()
-        .parts
+        .spans
         .iter()
-        .map(|p| match p {
-            PartView::Full(_) => asm.n(),
-            PartView::Absent => 0,
-            PartView::Masked { present, .. } => present.count_present(),
-        })
+        .map(|s| s.len * s.depth)
         .sum()
+}
+
+/// The availability model the span assembler replaced: one presence bit per
+/// coordinate per part, set for parts `0..depth` of every ingested packet.
+struct MaskModel {
+    present: Vec<Vec<bool>>,
+}
+
+impl MaskModel {
+    fn new(n: usize, n_parts: usize) -> Self {
+        Self {
+            present: vec![vec![false; n]; n_parts],
+        }
+    }
+
+    fn ingest(&mut self, start: usize, count: usize, depth: usize) {
+        for part in &mut self.present[..depth] {
+            part[start..start + count].fill(true);
+        }
+    }
+
+    fn count_present(&self, part: usize) -> usize {
+        self.present[part].iter().filter(|&&p| p).count()
+    }
+
+    fn depth(&self, i: usize) -> usize {
+        self.present.iter().take_while(|p| p[i]).count()
+    }
 }
 
 proptest! {
@@ -148,6 +171,51 @@ proptest! {
                 b.to_bits(),
                 "interleaving changed the decode"
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The span assembler answers every availability query exactly like the
+    /// per-coordinate mask model, after every event of a shuffled stream of
+    /// trimmed, duplicated (upgrading and downgrading) packets.
+    #[test]
+    fn span_assembler_matches_mask_model(
+        scheme_idx in 0usize..SchemeId::ALL.len(),
+        len in 1usize..1200,
+        seed in any::<u64>(),
+        events in proptest::collection::vec((any::<u64>(), 0usize..=3), 1..40)
+    ) {
+        let scheme_id = SchemeId::ALL[scheme_idx];
+        let enc = scheme_for(scheme_id).encode(&row(len, seed), seed);
+        let c = cfg();
+        let pr = packetize_row(&enc, &c);
+        let n_parts = scheme_id.part_bits().len();
+        let mut asm = RowAssembler::new(scheme_id, c.msg_id, c.row_id, len);
+        let mut model = MaskModel::new(asm.n(), n_parts);
+        for &(pick, depth) in &events {
+            let mut pkt = pr.packets[(pick % pr.packets.len() as u64) as usize].clone();
+            let depth = depth.clamp(1, n_parts);
+            if depth < n_parts {
+                pkt.trim_to_depth(depth as u8).expect("trimmable");
+            }
+            let f = pkt.quick_fields().expect("valid frame");
+            asm.ingest(&pkt).expect("clean ingest");
+            model.ingest(f.coord_start as usize, f.coord_count as usize, depth);
+
+            prop_assert_eq!(asm.coords_received(), model.count_present(0));
+            prop_assert_eq!(asm.heads_complete(), model.count_present(0) == asm.n());
+            prop_assert_eq!(
+                asm.is_complete(),
+                (0..n_parts).all(|k| model.count_present(k) == asm.n())
+            );
+            let view = asm.partial_row();
+            prop_assert!(view.validate(scheme_id.part_bits()).is_ok());
+            for i in 0..asm.n() {
+                prop_assert_eq!(view.avail_depth(i), model.depth(i), "coordinate {}", i);
+            }
         }
     }
 }

@@ -29,7 +29,6 @@ use trimgrad::netsim::transport::{
     ReliableReceiverApp, ReliableSenderApp, TransportConfig, TrimmingReceiverApp, TrimmingSenderApp,
 };
 use trimgrad::netsim::{FlowId, NodeId};
-use trimgrad::quant::scheme::PartView;
 use trimgrad::quant::{scheme_for, SchemeId};
 use trimgrad::wire::meta::RowMetaPacket;
 use trimgrad::wire::packet::{GradPacket, NetAddrs};
@@ -283,13 +282,9 @@ struct RowCollectorApp {
 
 fn availability(asm: &RowAssembler) -> usize {
     asm.partial_row()
-        .parts
+        .spans
         .iter()
-        .map(|p| match p {
-            PartView::Full(_) => asm.n(),
-            PartView::Absent => 0,
-            PartView::Masked { present, .. } => present.count_present(),
-        })
+        .map(|s| s.len * s.depth)
         .sum()
 }
 
