@@ -36,14 +36,19 @@ impl Linear {
         y
     }
 
-    /// Backward pass. Given upstream `dy (batch × out)` and the cached input
-    /// `x`, returns `(dw, db, dx)`.
+    /// Parameter gradients. Given upstream `dy (batch × out)` and the cached
+    /// input `x`, returns `(dw, db)`.
     #[must_use]
-    pub fn backward(&self, x: &Matrix, dy: &Matrix) -> (Matrix, Vec<f32>, Matrix) {
+    pub fn param_grads(&self, x: &Matrix, dy: &Matrix) -> (Matrix, Vec<f32>) {
         let dw = dy.t_matmul(x); // (out × in)
         let db = dy.col_sums();
-        let dx = dy.matmul(&self.w); // (batch × in)
-        (dw, db, dx)
+        (dw, db)
+    }
+
+    /// Gradient with respect to the input: `dx = dy·W`, `(batch × in)`.
+    #[must_use]
+    pub fn input_grad(&self, dy: &Matrix) -> Matrix {
+        dy.matmul(&self.w)
     }
 
     /// Parameter count (weights + bias).
@@ -53,26 +58,24 @@ impl Linear {
     }
 }
 
-/// ReLU forward (in place on a copy): returns activations.
+/// ReLU forward (in place on a copy): returns activations. A select, not a
+/// branch: about half of the inputs are negative, so a branch mispredicts.
 #[must_use]
 pub fn relu(x: &Matrix) -> Matrix {
     let mut y = x.clone();
     for v in y.as_mut_slice() {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
+        *v = if *v < 0.0 { 0.0 } else { *v };
     }
     y
 }
 
-/// ReLU backward: zeroes `dy` wherever the *pre-activation* input was ≤ 0.
+/// ReLU backward: zeroes `dy` wherever the *pre-activation* input was ≤ 0
+/// (branch-free, like [`relu`]).
 #[must_use]
 pub fn relu_backward(pre: &Matrix, dy: &Matrix) -> Matrix {
     let mut dx = dy.clone();
     for (d, &p) in dx.as_mut_slice().iter_mut().zip(pre.as_slice()) {
-        if p <= 0.0 {
-            *d = 0.0;
-        }
+        *d = if p <= 0.0 { 0.0 } else { *d };
     }
     dx
 }
@@ -212,7 +215,7 @@ mod tests {
         };
         let y = l.forward(&x);
         let (_, dy) = softmax_cross_entropy(&y, &labels);
-        let (dw, db, _) = l.backward(&x, &dy);
+        let (dw, db) = l.param_grads(&x, &dy);
         let eps = 1e-3f32;
         // Check a few weight entries.
         for (r, c) in [(0, 0), (1, 2), (0, 1)] {

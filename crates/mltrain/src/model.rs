@@ -61,30 +61,25 @@ impl Mlp {
     /// Mean cross-entropy loss and the flat gradient for one batch.
     #[must_use]
     pub fn loss_and_grad(&self, x: &Matrix, labels: &[usize]) -> (f32, Vec<f32>) {
-        // Forward with caches: inputs to each layer and pre-activations.
-        let mut inputs: Vec<Matrix> = Vec::with_capacity(self.layers.len());
-        let mut pres: Vec<Matrix> = Vec::with_capacity(self.layers.len());
-        let mut h = x.clone();
-        for (i, l) in self.layers.iter().enumerate() {
-            inputs.push(h.clone());
-            let pre = l.forward(&h);
-            h = if i + 1 < self.layers.len() {
-                let act = relu(&pre);
-                pres.push(pre);
-                act
-            } else {
-                pres.push(pre.clone());
-                pre
-            };
+        // Forward, caching each hidden layer's pre-activation and activation.
+        let (hidden, head) = self.layers.split_at(self.layers.len() - 1);
+        let mut pres: Vec<Matrix> = Vec::with_capacity(hidden.len());
+        let mut acts: Vec<Matrix> = Vec::with_capacity(hidden.len());
+        for l in hidden {
+            let pre = l.forward(acts.last().unwrap_or(x));
+            acts.push(relu(&pre));
+            pres.push(pre);
         }
-        let (loss, mut dy) = softmax_cross_entropy(&h, labels);
-        // Backward, collecting layer grads in reverse.
+        let logits = head[0].forward(acts.last().unwrap_or(x));
+        let (loss, mut dy) = softmax_cross_entropy(&logits, labels);
+        // Backward, collecting layer grads in reverse. Nothing consumes the
+        // input layer's dx, so it is never computed.
         let mut grads_rev: Vec<(Matrix, Vec<f32>)> = Vec::with_capacity(self.layers.len());
         for (i, l) in self.layers.iter().enumerate().rev() {
-            let (dw, db, dx) = l.backward(&inputs[i], &dy);
-            grads_rev.push((dw, db));
+            let input = if i == 0 { x } else { &acts[i - 1] };
+            grads_rev.push(l.param_grads(input, &dy));
             if i > 0 {
-                dy = relu_backward(&pres[i - 1], &dx);
+                dy = relu_backward(&pres[i - 1], &l.input_grad(&dy));
             }
         }
         // Flatten forward-order.

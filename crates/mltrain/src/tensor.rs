@@ -1,10 +1,9 @@
 //! Minimal row-major `f32` matrices.
 //!
-//! Exactly the operations backprop through an MLP needs — general matrix
-//! multiply plus the two transposed variants — written with an i-k-j loop
-//! order so the inner loop streams contiguously and auto-vectorizes.
-
-use trimgrad_quant::fcmp;
+//! Exactly the operations backprop through an MLP needs: general matrix
+//! multiply plus the two transposed variants, all three on one
+//! register-tiled GEMM kernel that is bit-identical to the naive k-ordered
+//! loop (DESIGN.md §17).
 
 /// A dense row-major matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,22 +88,12 @@ impl Matrix {
     #[must_use]
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, n);
-        for i in 0..m {
-            for p in 0..k {
-                let a = self.data[i * k + p];
-                if fcmp::exactly_zero(a) {
-                    continue;
-                }
-                let brow = &other.data[p * n..(p + 1) * n];
-                let orow = &mut out.data[i * n..(i + 1) * n];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
+        let a = Strided {
+            data: &self.data,
+            rs: self.cols,
+            cs: 1,
+        };
+        product(a, self.rows, other)
     }
 
     /// `selfᵀ · other` — shapes `(k×m)ᵀ · (k×n) = (m×n)`.
@@ -115,22 +104,13 @@ impl Matrix {
     #[must_use]
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
-        let (k, m, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, n);
-        for p in 0..k {
-            let arow = &self.data[p * m..(p + 1) * m];
-            let brow = &other.data[p * n..(p + 1) * n];
-            for (i, &a) in arow.iter().enumerate() {
-                if fcmp::exactly_zero(a) {
-                    continue;
-                }
-                let orow = &mut out.data[i * n..(i + 1) * n];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
+        // Column i of `self` is row i of the left operand: no copy.
+        let a = Strided {
+            data: &self.data,
+            rs: 1,
+            cs: self.cols,
+        };
+        product(a, self.cols, other)
     }
 
     /// `self · otherᵀ` — shapes `(m×k) · (n×k)ᵀ = (m×n)`.
@@ -141,20 +121,20 @@ impl Matrix {
     #[must_use]
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        let mut out = Matrix::zeros(m, n);
-        for i in 0..m {
-            let arow = &self.data[i * k..(i + 1) * k];
-            for j in 0..n {
-                let brow = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&a, &b) in arow.iter().zip(brow) {
-                    acc += a * b;
+        self.matmul(&other.transpose())
+    }
+
+    /// The transpose, `(cols × rows)`.
+    fn transpose(&self) -> Matrix {
+        let mut t = Matrix::zeros(self.cols, self.rows);
+        if self.cols > 0 {
+            for (r, row) in self.data.chunks_exact(self.cols).enumerate() {
+                for (c, &v) in row.iter().enumerate() {
+                    t.data[c * self.rows + r] = v;
                 }
-                out.data[i * n + j] = acc;
             }
         }
-        out
+        t
     }
 
     /// Adds `v` to every row (broadcast bias add).
@@ -181,6 +161,129 @@ impl Matrix {
             }
         }
         out
+    }
+}
+
+/// Output rows of one register tile.
+const MR: usize = 4;
+/// Output columns of one register tile: two 4-lane vectors per row.
+const NR: usize = 8;
+/// Depth of one packed panel (every layer of the experiment model fits in
+/// one); longer products run in several passes.
+const KC: usize = 64;
+
+/// A read-only `m×k` left operand: element `(i, p)` is `data[i·rs + p·cs]`.
+/// Row-major has `(rs, cs) = (k, 1)`; the transpose of a row-major `k×m`
+/// matrix is the same buffer with `(rs, cs) = (1, m)`.
+#[derive(Clone, Copy)]
+struct Strided<'a> {
+    data: &'a [f32],
+    rs: usize,
+    cs: usize,
+}
+
+/// `a · b` for an `m`-row strided `a` and a row-major `b`.
+fn product(a: Strided<'_>, m: usize, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(m, b.cols);
+    gemm(a, &b.data, b.cols, &mut out.data);
+    out
+}
+
+/// The GEMM kernel: `c += a · b`, with `b` row-major `k×n` (`k` is
+/// `b.len() / n`) and `c` row-major `m×n` (`m` is `c.len() / n`).
+///
+/// Per pass over at most `KC` of `k`, it packs `MR` rows of `a` into a
+/// stack panel (one `[f32; MR]` per `p`) and keeps each `MR×NR`
+/// block of `c` in registers while it walks the panel. The right-edge
+/// strip of `b` (narrower than `NR`, e.g. the 10-class head) is packed
+/// zero-padded once per pass, and bottom-edge rows pad the panel with
+/// zeros, so every block runs the same full-width loop and stores only its
+/// real part. With `c` zeroed first, each output is summed from `+0.0` in
+/// increasing `p`, one rounding per multiply and per add: the bits of the
+/// naive triple loop (DESIGN.md §17).
+///
+/// Out of line on purpose: inlined into [`product`], the same tile loop
+/// measured about 3× slower on a 32×64·64×64 product (x86-64, SSE2).
+// trimlint: hot-path -- every matmul of the training step
+#[inline(never)]
+fn gemm(a: Strided<'_>, b: &[f32], n: usize, c: &mut [f32]) {
+    if n == 0 {
+        return;
+    }
+    let k = b.len() / n;
+    let full_cols = n - n % NR;
+    let mut panel = [0.0f32; MR * KC];
+    let mut edge = [0.0f32; KC * NR];
+    for k0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - k0);
+        let bk = &b[k0 * n..(k0 + kc) * n];
+        if full_cols < n {
+            for (dst, brow) in edge.chunks_exact_mut(NR).zip(bk.chunks_exact(n)) {
+                for (q, x) in dst.iter_mut().enumerate() {
+                    *x = brow.get(full_cols + q).copied().unwrap_or(0.0);
+                }
+            }
+        }
+        for (ib, cblock) in c.chunks_mut(MR * n).enumerate() {
+            let rows = cblock.len() / n;
+            for (p, dst) in panel.chunks_exact_mut(MR).take(kc).enumerate() {
+                for (r, x) in dst.iter_mut().enumerate() {
+                    *x = if r < rows {
+                        a.data[(ib * MR + r) * a.rs + (k0 + p) * a.cs]
+                    } else {
+                        0.0
+                    };
+                }
+            }
+            let panel = &panel[..kc * MR];
+            for j0 in (0..full_cols).step_by(NR) {
+                let strip = Strip {
+                    data: bk,
+                    stride: n,
+                    off: j0,
+                };
+                tile(panel, strip, cblock, n, j0, NR);
+            }
+            if full_cols < n {
+                let strip = Strip {
+                    data: &edge[..kc * NR],
+                    stride: NR,
+                    off: 0,
+                };
+                tile(panel, strip, cblock, n, full_cols, n - full_cols);
+            }
+        }
+    }
+}
+
+/// `NR` columns of a row-major right operand, starting at column `off` of
+/// rows `stride` apart.
+#[derive(Clone, Copy)]
+struct Strip<'a> {
+    data: &'a [f32],
+    stride: usize,
+    off: usize,
+}
+
+/// One register tile: `c[.., j0..j0 + cols] += panel · b`, where `cblock`
+/// holds up to `MR` rows of `c`, each `n` long. Lanes past `cols` or past
+/// the block's rows are computed and dropped.
+#[inline(always)]
+fn tile(panel: &[f32], b: Strip<'_>, cblock: &mut [f32], n: usize, j0: usize, cols: usize) {
+    let mut acc = [[0.0f32; NR]; MR];
+    for (accr, crow) in acc.iter_mut().zip(cblock.chunks_exact(n)) {
+        accr[..cols].copy_from_slice(&crow[j0..j0 + cols]);
+    }
+    for (av, brow) in panel.chunks_exact(MR).zip(b.data.chunks_exact(b.stride)) {
+        let bv = &brow[b.off..b.off + NR];
+        for (accr, &ar) in acc.iter_mut().zip(av) {
+            for (o, &bq) in accr.iter_mut().zip(bv) {
+                *o += ar * bq;
+            }
+        }
+    }
+    for (accr, crow) in acc.iter().zip(cblock.chunks_exact_mut(n)) {
+        crow[j0..j0 + cols].copy_from_slice(&accr[..cols]);
     }
 }
 

@@ -148,7 +148,7 @@ impl DensePortTable {
     }
 
     /// The source node owning `key` (inverse of the CSR row bracketing).
-    fn from_node(&self, key: PortId) -> usize {
+    fn owner_of(&self, key: PortId) -> usize {
         // partition_point returns the first row whose offset exceeds key,
         // i.e. one past the owning node.
         self.row_off.partition_point(|&off| off <= key.0) - 1
@@ -265,7 +265,7 @@ impl PortMap for DensePortTable {
                 .map(|(i, p)| {
                     // trimlint: allow(no-panic) -- index came out of a Vec built with u32 offsets, so it fits
                     let key = PortId(u32::try_from(i).expect("port index fits u32"));
-                    ((self.from_node(key), self.nbrs[i] as usize), p)
+                    ((self.owner_of(key), self.nbrs[i] as usize), p)
                 }),
         )
     }

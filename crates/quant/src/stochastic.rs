@@ -21,6 +21,7 @@ use crate::scheme::{
     bits_f32, f32_bits, DecodeError, EncodedRow, PartialRow, RowMeta, SchemeId, TrimmableScheme,
 };
 use crate::stats::{clip, std_dev};
+use std::cmp::Ordering;
 use trimgrad_hadamard::prng::Xoshiro256StarStar;
 
 /// Stochastic quantization with clipping range `L = multiplier · σ`.
@@ -69,8 +70,9 @@ impl TrimmableScheme for StochasticQuantization {
             } else {
                 0.5
             };
-            // Head bit 1 encodes −L (mirroring the IEEE "1 = negative" convention).
-            !(draw < p_plus)
+            // Head bit 1 encodes −L (mirroring the IEEE "1 = negative" convention);
+            // an incomparable (NaN) pair also sets it.
+            draw.partial_cmp(&p_plus) != Some(Ordering::Less)
         });
         let tails = crate::kernels::pack_f32_tails(row);
         EncodedRow {

@@ -43,6 +43,9 @@ echo "=== microbenches ==="
 cargo bench -p trimgrad-bench --bench encode_decode -- --json "$PWD/results/BENCH_encode.json" --assert-encode-pool-not-slower 10 --assert-encode-vectorized-not-slower 0 --assert-decode-vectorized-not-slower 0
 cargo bench -p trimgrad-bench --bench wire          -- --json "$PWD/results/BENCH_wire.json"
 cargo bench -p trimgrad-bench --bench netsim        -- --json "$PWD/results/BENCH_netsim.json" --assert-calendar-not-slower 10 --assert-dense-ports-not-slower 10 --assert-sampling-overhead 2
+# Trainer compute (one worker's loss_and_grad, one 4-worker round); no gate,
+# the GEMM kernel has no retained twin to race against.
+cargo bench -p trimgrad-bench --bench mltrain       -- --json "$PWD/results/BENCH_mltrain.json"
 
 # Human-readable digest of the flight-recorder run above; `trimgrad-trace
 # query results/trace_smoke.bin --follow FLOW:SEQ` replays any packet in it.
